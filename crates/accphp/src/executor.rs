@@ -15,7 +15,7 @@
 //! Fig. 11 (group size, univalent-instruction proportion, instruction
 //! count).
 
-use crate::groupvm::{self, GroupOutcome, GroupRunError};
+use crate::groupvm::{self, GroupRunError};
 use orochi_common::ids::RequestId;
 use orochi_core::audit::{AuditContext, Rejection};
 use orochi_core::exec::{DbQueryResult, DbTxnHandle, GroupExecutor, SimResult};
@@ -29,22 +29,6 @@ use orochi_sqldb::{ExecOutcome, SqlValue};
 use orochi_state::object::ObjectName;
 use orochi_trace::{HttpRequest, HttpResponse};
 use std::collections::HashMap;
-
-/// Which PHP bytecode engine the executor re-executes requests on.
-///
-/// Both engines produce identical outputs, state operations, and
-/// control-flow digests; the register engine is the default because its
-/// fixed-width instructions and pooled register windows dispatch faster.
-/// The stack engine is kept as the differential baseline (property
-/// tests, `fig10_instructions`, the `OROCHI_VM_ENGINE=stack` knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VmEngine {
-    /// Fixed-width 32-bit register bytecode (the default).
-    #[default]
-    Register,
-    /// The legacy stack bytecode interpreter.
-    Stack,
-}
 
 /// Per-group statistics: the Fig. 11 bubble for one group.
 #[derive(Debug, Clone, Copy)]
@@ -116,8 +100,6 @@ pub struct AccPhpExecutor {
     /// Maximum group size per superposed execution (OROCHI caps at
     /// 3,000 to avoid thrashing, §4.7); larger groups split.
     pub max_group: usize,
-    /// Which bytecode engine re-executes requests.
-    pub engine: VmEngine,
     /// Statistics for the evaluation harness.
     pub stats: ExecutorStats,
 }
@@ -136,7 +118,6 @@ impl AccPhpExecutor {
             scripts,
             force_scalar: false,
             max_group: 3000,
-            engine: VmEngine::default(),
             stats: ExecutorStats::default(),
         }
     }
@@ -177,11 +158,7 @@ impl AccPhpExecutor {
             txn: None,
             rejection: None,
         };
-        let result = match self.engine {
-            VmEngine::Register => run_request(script, &mut backend, input),
-            VmEngine::Stack => orochi_php::vm::stack::run_request(script, &mut backend, input),
-        };
-        match result {
+        match run_request(script, &mut backend, input) {
             Ok(result) => {
                 // Scalar execution dispatches every instruction once:
                 // total and executed coincide.
@@ -194,19 +171,6 @@ impl AccPhpExecutor {
                 .rejection
                 .take()
                 .unwrap_or(Rejection::ExecFailure(msg))),
-        }
-    }
-
-    fn run_group(
-        &self,
-        script: &CompiledScript,
-        rids: &[RequestId],
-        inputs: &[RequestInput],
-        ctx: &mut AuditContext<'_>,
-    ) -> Result<GroupOutcome, GroupRunError> {
-        match self.engine {
-            VmEngine::Register => groupvm::run_group(script, rids, inputs, ctx),
-            VmEngine::Stack => groupvm::stack::run_group(script, rids, inputs, ctx),
         }
     }
 }
@@ -235,13 +199,12 @@ impl GroupExecutor for AccPhpExecutor {
             let script = self
                 .scripts
                 .get(&inputs[0].path)
-                .expect("checked script_known")
-                .clone();
+                .expect("checked script_known");
             let chunk = self.max_group.max(1);
             let mut diverged = false;
             let mut chunk_outputs = Vec::with_capacity(requests.len());
             for (rid_chunk, input_chunk) in rids.chunks(chunk).zip(inputs.chunks(chunk)) {
-                match self.run_group(&script, rid_chunk, input_chunk, ctx) {
+                match groupvm::run_group(script, rid_chunk, input_chunk, ctx) {
                     Ok(outcome) => {
                         self.stats.grouped += 1;
                         self.stats.group_stats.push(GroupStat {

@@ -19,10 +19,6 @@
 //! * pure builtins with multivalue arguments split into per-lane calls
 //!   of the *same* implementations the scalar VM uses (§4.3 "built-in
 //!   functions").
-//!
-//! The previous stack-bytecode group engine survives as [`stack`] — the
-//! differential baseline `fig10_instructions` and the property tests
-//! compare against.
 
 use crate::mval::MVal;
 use orochi_common::codec::Wire;
@@ -32,13 +28,11 @@ use orochi_core::exec::{DbQueryResult, DbTxnHandle};
 use orochi_core::nondet::NondetValue;
 use orochi_php::backend::{DbResult, DbScalar};
 use orochi_php::builtins::{self, Host};
-use orochi_php::bytecode::{rinsn, CompiledScript, Op, ROp};
+use orochi_php::bytecode::{rinsn, CompiledScript, ROp};
 use orochi_php::value::{ArrayKey, Value};
 use orochi_php::vm::{ops, RequestInput, RequestOutput, VmError};
 use orochi_sqldb::{ExecOutcome, SqlValue};
 use orochi_state::object::ObjectName;
-
-pub mod stack;
 
 /// Why grouped execution stopped without producing outputs.
 #[derive(Debug)]
@@ -228,11 +222,11 @@ fn init_globals(script: &CompiledScript, inputs: &[RequestInput], lanes: usize) 
 
 /// `++`/`--` on a multivalue slot; returns (new slot value, expression
 /// result).
-fn incdec_mval(cur: &MVal, scalar_op: Op, lanes: usize) -> Result<(MVal, MVal), VmError> {
+fn incdec_mval(cur: &MVal, variant: usize, lanes: usize) -> Result<(MVal, MVal), VmError> {
     match cur {
         MVal::Uni(v) => {
             let mut slot = v.clone();
-            let result = ops::incdec(&mut slot, scalar_op)?;
+            let result = ops::incdec(&mut slot, variant)?;
             Ok((MVal::Uni(slot), MVal::Uni(result)))
         }
         MVal::Multi(vs) => {
@@ -240,7 +234,7 @@ fn incdec_mval(cur: &MVal, scalar_op: Op, lanes: usize) -> Result<(MVal, MVal), 
             let mut results = Vec::with_capacity(lanes);
             for v in vs.iter() {
                 let mut slot = v.clone();
-                results.push(ops::incdec(&mut slot, scalar_op)?);
+                results.push(ops::incdec(&mut slot, variant)?);
                 new_lanes.push(slot);
             }
             Ok((MVal::from_lanes(new_lanes), MVal::from_lanes(results)))
@@ -286,33 +280,6 @@ fn sql_to_dbscalar(v: SqlValue) -> DbScalar {
     }
 }
 
-/// Maps a register opcode to the scalar-op selector used by the shared
-/// `ops` helpers.
-fn scalar_binop(op: ROp) -> Op {
-    match op {
-        ROp::Add => Op::Add,
-        ROp::Sub => Op::Sub,
-        ROp::Mul => Op::Mul,
-        ROp::Div => Op::Div,
-        ROp::Mod => Op::Mod,
-        ROp::Concat => Op::Concat,
-        ROp::Lt => Op::Lt,
-        ROp::Le => Op::Le,
-        ROp::Gt => Op::Gt,
-        ROp::Ge => Op::Ge,
-        other => unreachable!("not a shared scalar op: {other:?}"),
-    }
-}
-
-fn incdec_variant(c: usize) -> Op {
-    match c {
-        0 => Op::PreIncLocal(0),
-        1 => Op::PostIncLocal(0),
-        2 => Op::PreDecLocal(0),
-        _ => Op::PostDecLocal(0),
-    }
-}
-
 /// A pooled activation record over the multivalue register file.
 struct RFrame {
     func: FnRef,
@@ -347,7 +314,7 @@ struct GroupVm<'c, 'a> {
     steps: u64,
 }
 
-/// Runs one control-flow group's superposed execution (register engine).
+/// Runs one control-flow group's superposed execution.
 pub fn run_group(
     script: &CompiledScript,
     rids: &[RequestId],
@@ -497,13 +464,16 @@ impl GroupVm<'_, '_> {
 
     /// Applies a two-operand scalar op lane-wise; errors lift per the
     /// uni/multi discipline.
-    fn map2_op(&mut self, sop: Op, a: usize, b: usize, c: usize) -> Result<(), Flow> {
+    fn map2_op(&mut self, op: ROp, a: usize, b: usize, c: usize) -> Result<(), Flow> {
         let x = self.regs[b].clone();
         let y = self.regs[c].clone();
         let multi = !x.is_uni() || !y.is_uni();
         self.account(multi);
-        let r = MVal::map2(&x, &y, self.lanes, |p, q| ops::binary(sop, p, q))
-            .map_err(if multi { lane_err } else { uni_err })?;
+        let r = MVal::map2(&x, &y, self.lanes, |p, q| ops::binary(op, p, q)).map_err(if multi {
+            lane_err
+        } else {
+            uni_err
+        })?;
         self.regs[a] = r;
         Ok(())
     }
@@ -579,8 +549,12 @@ impl GroupVm<'_, '_> {
                     self.globals[rinsn::a(insn)] = v;
                 }
                 ROp::Add | ROp::Sub | ROp::Mul | ROp::Div | ROp::Mod | ROp::Concat => {
-                    let sop = scalar_binop(rinsn::op(insn));
-                    self.map2_op(sop, a, base + rinsn::b(insn), base + rinsn::c(insn))?;
+                    self.map2_op(
+                        rinsn::op(insn),
+                        a,
+                        base + rinsn::b(insn),
+                        base + rinsn::c(insn),
+                    )?;
                 }
                 ROp::Eq | ROp::Ne | ROp::Identical | ROp::NotIdentical => {
                     let rop = rinsn::op(insn);
@@ -600,12 +574,12 @@ impl GroupVm<'_, '_> {
                     self.regs[a] = r;
                 }
                 ROp::Lt | ROp::Le | ROp::Gt | ROp::Ge => {
-                    let sop = scalar_binop(rinsn::op(insn));
+                    let rop = rinsn::op(insn);
                     let x = self.regs[base + rinsn::b(insn)].clone();
                     let y = self.regs[base + rinsn::c(insn)].clone();
                     self.account(!x.is_uni() || !y.is_uni());
                     let r = MVal::map2::<VmError>(&x, &y, self.lanes, |p, q| {
-                        Ok(Value::Bool(ops::relational(sop, p, q)))
+                        Ok(Value::Bool(ops::relational(rop, p, q)))
                     })
                     .expect("relational is infallible");
                     self.regs[a] = r;
@@ -784,8 +758,7 @@ impl GroupVm<'_, '_> {
                     };
                     let multi = !cur.is_uni();
                     self.account(multi);
-                    let sop = incdec_variant(rinsn::c(insn));
-                    let (new_slot, result) = incdec_mval(&cur, sop, self.lanes)
+                    let (new_slot, result) = incdec_mval(&cur, rinsn::c(insn), self.lanes)
                         .map_err(if multi { lane_err } else { uni_err })?;
                     if is_local {
                         self.regs[base + rinsn::b(insn)] = new_slot;

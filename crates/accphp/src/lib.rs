@@ -27,6 +27,6 @@ pub mod executor;
 pub mod groupvm;
 pub mod mval;
 
-pub use executor::{AccPhpExecutor, GroupStat, VmEngine};
+pub use executor::{AccPhpExecutor, GroupStat};
 pub use groupvm::GroupRunError;
 pub use mval::MVal;

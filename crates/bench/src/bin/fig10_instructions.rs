@@ -1,18 +1,16 @@
 //! Regenerates the Fig. 10 instruction-cost table: per-category cost
 //! under unmodified PHP, acc-PHP univalent execution, and acc-PHP
 //! multivalent execution decomposed into fixed and marginal components
-//! (derived from two lane counts) — plus the engine comparison the CI
-//! pipeline tracks: grouped re-execution throughput of the register
-//! bytecode VM against the retained stack-bytecode baseline on a
-//! call-heavy script.
+//! (derived from two lane counts) — plus the grouping gate the CI
+//! pipeline tracks: an 8-lane univalent group on a call-heavy script
+//! against 8 scalar runs of the same request.
 //!
 //! Usage: `cargo run --release -p orochi_bench --bin fig10_instructions`
 //!
-//! * `OROCHI_BENCH_JSON=path` — also write the engine comparison as
-//!   JSON for the `bench-smoke` CI artifact.
+//! * `OROCHI_BENCH_JSON=path` — also write the grouping gate and the
+//!   dispatch split as JSON for the `bench-smoke` CI artifact.
 //! * `OROCHI_FULL=1` — raise the iteration counts to full scale.
 
-use orochi_accphp::VmEngine;
 use orochi_bench::json::Json;
 use orochi_bench::{
     fig10_call_heavy_script, fig10_script, run_fig10_scalar, Fig10Group, FIG10_CATEGORIES,
@@ -78,37 +76,30 @@ fn main() {
          comes from collapsing, not vectorization."
     );
 
-    // Engine comparison: grouped re-execution of a call-heavy script
-    // (function frames dominate) under the register VM vs the stack
-    // baseline, univalent (8 identical lanes) and multivalent (8
-    // distinct lanes).
+    // Grouping gate: one univalent group of `lanes` identical requests
+    // on a call-heavy script (function frames dominate) against the same
+    // `lanes` requests run one by one on the scalar VM. SIMD-on-demand
+    // pays off only if the group executes its univalent instructions
+    // once instead of once per request.
     let lanes = 8usize;
     let script = fig10_call_heavy_script(iters);
     let uni = Fig10Group::new(lanes, true, 0);
-    let multi = Fig10Group::new(lanes, false, 0);
-    let mut walls = Vec::new();
-    println!("\n== Engine comparison: grouped re-execution, call-heavy script ({lanes} lanes) ==");
+    let group_ns = wall_ns(|| {
+        uni.run(&script);
+    });
+    let scalar_ns = wall_ns(|| {
+        for _ in 0..lanes {
+            run_fig10_scalar(&script, "7", "9");
+        }
+    });
+    println!("\n== Grouping gate: call-heavy script, {lanes} identical requests ==");
     println!(
-        "{:<14} {:>14} {:>14} {:>10}",
-        "group", "register", "stack", "speedup"
+        "univalent group {:.2}ms, {lanes} scalar runs {:.2}ms: {:.2}x",
+        group_ns / 1e6,
+        scalar_ns / 1e6,
+        scalar_ns / group_ns,
     );
-    for (label, group) in [("univalent", &uni), ("multivalent", &multi)] {
-        let reg = wall_ns(|| {
-            group.run_with(&script, VmEngine::Register);
-        });
-        let stack = wall_ns(|| {
-            group.run_with(&script, VmEngine::Stack);
-        });
-        println!(
-            "{:<14} {:>12.2}ms {:>12.2}ms {:>9.2}x",
-            label,
-            reg / 1e6,
-            stack / 1e6,
-            stack / reg,
-        );
-        walls.push((label, reg, stack));
-    }
-    let outcome = uni.run_with(&script, VmEngine::Register);
+    let outcome = uni.run(&script);
     let (u, m) = (outcome.univalent, outcome.multivalent);
     let n = lanes as u64;
     println!(
@@ -119,37 +110,16 @@ fn main() {
     );
 
     if let Ok(path) = std::env::var("OROCHI_BENCH_JSON") {
-        let mut fields = vec![
+        let doc = Json::obj(vec![
             ("experiment", Json::str("fig10_instructions")),
             ("iters", Json::from(iters)),
             ("lanes", Json::from(lanes)),
             ("dispatch_total", Json::from(n * (u + m))),
             ("dispatch_executed", Json::from(u + n * m)),
-        ];
-        for (label, reg, stack) in &walls {
-            fields.push((
-                match *label {
-                    "univalent" => "register_uni_wall_s",
-                    _ => "register_multi_wall_s",
-                },
-                Json::Num(reg / 1e9),
-            ));
-            fields.push((
-                match *label {
-                    "univalent" => "stack_uni_wall_s",
-                    _ => "stack_multi_wall_s",
-                },
-                Json::Num(stack / 1e9),
-            ));
-            fields.push((
-                match *label {
-                    "univalent" => "register_uni_speedup",
-                    _ => "register_multi_speedup",
-                },
-                Json::Num(stack / reg),
-            ));
-        }
-        let doc = Json::obj(fields);
+            ("uni_group_wall_s", Json::Num(group_ns / 1e9)),
+            ("scalar_n_wall_s", Json::Num(scalar_ns / 1e9)),
+            ("uni_group_speedup", Json::Num(scalar_ns / group_ns)),
+        ]);
         std::fs::write(&path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }

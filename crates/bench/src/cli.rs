@@ -10,9 +10,9 @@
 use orochi_harness::Config;
 
 /// Parses the shared bench flags (`--skew`, `--session-len`,
-/// `--serve-threads`, `--queue-depth`, `--audit-threads`, `--engine`,
-/// `--full`, `--bench-json`, `--store-dir`, `--segment-bytes`,
-/// `--epoch-events`, `--obs`, `--obs-out`) on top
+/// `--serve-threads`, `--queue-depth`, `--audit-threads`, `--full`,
+/// `--bench-json`, `--store-dir`, `--segment-bytes`, `--epoch-events`,
+/// `--obs`, `--obs-out`) on top
 /// of the current environment, exports the merged configuration back to
 /// the `OROCHI_*` variables, and returns it. Unknown arguments panic
 /// with a usage message naming `bin`.

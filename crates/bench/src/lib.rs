@@ -8,8 +8,7 @@
 pub mod cli;
 pub mod json;
 
-use orochi_accphp::groupvm::{self, run_group, GroupOutcome};
-use orochi_accphp::VmEngine;
+use orochi_accphp::groupvm::{run_group, GroupOutcome};
 use orochi_common::ids::{CtlFlowTag, RequestId};
 use orochi_core::audit::{AuditConfig, AuditContext};
 use orochi_core::nondet::{NondetLog, NondetValue};
@@ -133,22 +132,10 @@ impl Fig10Group {
     /// Runs the script once over the group; panics on divergence (bench
     /// scripts are divergence-free by construction).
     pub fn run(&self, script: &CompiledScript) -> GroupOutcome {
-        self.run_with(script, VmEngine::Register)
-    }
-
-    /// [`Fig10Group::run`] with an explicit engine — the register VM or
-    /// the retained stack baseline — so the engine comparison can time
-    /// both on identical groups.
-    pub fn run_with(&self, script: &CompiledScript, engine: VmEngine) -> GroupOutcome {
         let mut ctx = AuditContext::prepare(&self.trace, &self.reports, &self.config)
             .expect("bench reports are well-formed");
-        match engine {
-            VmEngine::Register => run_group(script, &self.rids, &self.inputs, &mut ctx),
-            VmEngine::Stack => {
-                groupvm::stack::run_group(script, &self.rids, &self.inputs, &mut ctx)
-            }
-        }
-        .unwrap_or_else(|e| panic!("bench group failed: {e:?}"))
+        run_group(script, &self.rids, &self.inputs, &mut ctx)
+            .unwrap_or_else(|e| panic!("bench group failed: {e:?}"))
     }
 
     /// Lane count.
@@ -157,10 +144,12 @@ impl Fig10Group {
     }
 }
 
-/// Compiles the call-heavy engine-comparison script: `iters` iterations
-/// of a loop whose body is two user-function calls (one nested). Call
-/// frames dominate, which is where the register VM's pooled register
-/// windows pay off against the stack VM's per-call local tables.
+/// Compiles the call-heavy grouping-gate script: `iters` iterations of a
+/// loop whose body is two user-function calls (one nested). Call frames
+/// dominate, so the grouped VM's per-call overhead is what a univalent
+/// group must amortize against the same number of scalar runs. The
+/// univalent inputs of [`Fig10Group`] match [`run_fig10_scalar`]'s
+/// `a = 7`, `b = 9`.
 pub fn fig10_call_heavy_script(iters: usize) -> CompiledScript {
     let src = format!(
         "<?php

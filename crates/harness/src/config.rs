@@ -17,7 +17,6 @@
 //! | `serve_threads` | `OROCHI_SERVE_THREADS` | `--serve-threads` | 4 |
 //! | `serve_queue` | `OROCHI_SERVE_QUEUE` | `--queue-depth` | unbounded |
 //! | `audit_threads` | `OROCHI_AUDIT_THREADS` | `--audit-threads` | auto |
-//! | `vm_engine` | `OROCHI_VM_ENGINE` | `--engine` | register |
 //! | `skew` | `OROCHI_WORKLOAD_SKEW` | `--skew`, `--session-len` | per-workload |
 //! | `full` | `OROCHI_FULL` | `--full` | CI scale |
 //! | `bench_json` | `OROCHI_BENCH_JSON` | `--bench-json` | off |
@@ -30,10 +29,7 @@
 //! | `campaign_k` | `OROCHI_CAMPAIGN_K` | `--campaign-k` | 0 (cycle 1–3) |
 //! | `campaign_seed` | `OROCHI_CAMPAIGN_SEED` | `--campaign-seed` | 0xC0FFEE |
 
-use crate::driver::{
-    resolve_audit_threads, resolve_serve_threads, vm_engine_from_env, AuditOptions, ServeOptions,
-};
-use orochi_accphp::executor::VmEngine;
+use crate::driver::{resolve_audit_threads, resolve_serve_threads, AuditOptions, ServeOptions};
 use orochi_trace::DEFAULT_SEGMENT_BYTES;
 use orochi_workload::skew::Skew;
 use std::path::PathBuf;
@@ -89,8 +85,6 @@ pub struct Config {
     pub serve_queue: usize,
     /// Audit re-execution worker threads.
     pub audit_threads: Threads,
-    /// PHP bytecode engine for re-execution.
-    pub vm_engine: VmEngine,
     /// Workload skew override (Zipf theta, session length).
     pub skew: Skew,
     /// Paper-scale workloads instead of the CI-friendly fraction.
@@ -127,7 +121,6 @@ impl Default for Config {
             serve_threads: Threads::Exact(4),
             serve_queue: 0,
             audit_threads: Threads::Auto,
-            vm_engine: VmEngine::Register,
             skew: Skew::default(),
             full: false,
             bench_json: None,
@@ -183,7 +176,6 @@ impl Config {
                 Ok(v) => Threads::parse("OROCHI_AUDIT_THREADS", &v),
                 Err(_) => defaults.audit_threads,
             },
-            vm_engine: vm_engine_from_env(),
             skew: orochi_workload::skew::from_env(),
             full: matches!(std::env::var("OROCHI_FULL"),
                            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true")),
@@ -272,16 +264,6 @@ impl Config {
                     self.audit_threads =
                         Threads::parse_flag(bin, "--audit-threads", &value_of("--audit-threads"));
                 }
-                "--engine" => {
-                    let v = value_of("--engine");
-                    self.vm_engine = if v.eq_ignore_ascii_case("stack") {
-                        VmEngine::Stack
-                    } else if v.eq_ignore_ascii_case("register") {
-                        VmEngine::Register
-                    } else {
-                        panic!("{bin}: --engine must be 'register' or 'stack', got {v:?}")
-                    };
-                }
                 "--full" => self.full = true,
                 "--bench-json" => self.bench_json = Some(value_of("--bench-json")),
                 "--store-dir" => {
@@ -325,7 +307,7 @@ impl Config {
                     "{bin}: unknown argument {other:?} \
                      (supported: --skew <theta[,session_len]>, --session-len <len>, \
                      --serve-threads <n|auto>, --queue-depth <n>, \
-                     --audit-threads <n|auto>, --engine <register|stack>, --full, \
+                     --audit-threads <n|auto>, --full, \
                      --bench-json <path>, --store-dir <path>, --segment-bytes <n>, \
                      --epoch-events <n>, --obs, --obs-out <prefix>, \
                      --campaigns <n>, --campaign-k <k>, --campaign-seed <seed>)"
@@ -341,13 +323,6 @@ impl Config {
         std::env::set_var("OROCHI_SERVE_THREADS", self.serve_threads.env_value());
         std::env::set_var("OROCHI_SERVE_QUEUE", self.serve_queue.to_string());
         std::env::set_var("OROCHI_AUDIT_THREADS", self.audit_threads.env_value());
-        std::env::set_var(
-            "OROCHI_VM_ENGINE",
-            match self.vm_engine {
-                VmEngine::Register => "register",
-                VmEngine::Stack => "stack",
-            },
-        );
         match self.skew_env_value() {
             Some(v) => std::env::set_var("OROCHI_WORKLOAD_SKEW", v),
             None => std::env::remove_var("OROCHI_WORKLOAD_SKEW"),
@@ -436,7 +411,6 @@ impl Config {
             grouped: true,
             dedup: true,
             threads: self.resolved_audit_threads(),
-            engine: self.vm_engine,
         }
     }
 }
@@ -458,7 +432,6 @@ mod tests {
         assert_eq!(c.serve_threads, Threads::Exact(4));
         assert_eq!(c.serve_queue, 0);
         assert_eq!(c.audit_threads, Threads::Auto);
-        assert_eq!(c.vm_engine, VmEngine::Register);
         assert_eq!(c.segment_bytes, DEFAULT_SEGMENT_BYTES);
         assert_eq!(c.epoch_events, 0, "batch by default");
         assert!(!c.full);
@@ -481,8 +454,6 @@ mod tests {
                 "64",
                 "--audit-threads",
                 "auto",
-                "--engine",
-                "stack",
                 "--full",
                 "--bench-json",
                 "/tmp/out.json",
@@ -499,7 +470,6 @@ mod tests {
         assert_eq!(c.serve_threads, Threads::Exact(8));
         assert_eq!(c.serve_queue, 64);
         assert_eq!(c.audit_threads, Threads::Auto);
-        assert_eq!(c.vm_engine, VmEngine::Stack);
         assert!(c.full);
         assert_eq!(c.bench_json.as_deref(), Some("/tmp/out.json"));
         assert_eq!(c.store_dir, Some(PathBuf::from("/tmp/store")));

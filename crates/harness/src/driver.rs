@@ -6,7 +6,7 @@
 //! queue feeding a fixed worker pool. `OROCHI_SERVE_THREADS` and
 //! `OROCHI_SERVE_QUEUE` configure the pool and queue depth everywhere.
 
-use orochi_accphp::executor::{ExecutorStats, VmEngine};
+use orochi_accphp::executor::ExecutorStats;
 use orochi_accphp::AccPhpExecutor;
 use orochi_apps::AppDefinition;
 use orochi_core::audit::{
@@ -318,8 +318,6 @@ pub struct AuditOptions {
     pub dedup: bool,
     /// Re-execution worker threads; 1 = the sequential audit.
     pub threads: usize,
-    /// Which PHP bytecode engine re-executes requests.
-    pub engine: VmEngine,
 }
 
 impl Default for AuditOptions {
@@ -328,20 +326,7 @@ impl Default for AuditOptions {
             grouped: true,
             dedup: true,
             threads: 1,
-            engine: vm_engine_from_env(),
         }
-    }
-}
-
-/// VM engine from the `OROCHI_VM_ENGINE` environment variable: unset or
-/// `register` selects the register bytecode engine; `stack` selects the
-/// legacy stack interpreter (the differential baseline).
-pub fn vm_engine_from_env() -> VmEngine {
-    match std::env::var("OROCHI_VM_ENGINE") {
-        Ok(v) if v.eq_ignore_ascii_case("stack") => VmEngine::Stack,
-        Ok(v) if v.eq_ignore_ascii_case("register") || v.is_empty() => VmEngine::Register,
-        Ok(v) => panic!("OROCHI_VM_ENGINE must be 'register' or 'stack', got {v:?}"),
-        Err(_) => VmEngine::Register,
     }
 }
 
@@ -375,16 +360,12 @@ pub fn audit_threads_from_env() -> usize {
 
 /// Records audit-side telemetry once a verdict has landed: the
 /// seal→verdict audit lag (the metric the streaming-epoch audit will
-/// stream per epoch) and the per-engine VM dispatch split.
-fn record_audit_obs(outcome: &AuditOutcome, engine: VmEngine) {
+/// stream per epoch) and the VM dispatch split.
+fn record_audit_obs(outcome: &AuditOutcome) {
     orochi_obs::lag::record_verdict();
-    let engine = match engine {
-        VmEngine::Register => "register",
-        VmEngine::Stack => "stack",
-    };
-    orochi_obs::registry::counter_owned(&format!("vm_dispatch_executed_{engine}_total"))
+    orochi_obs::registry::counter("vm_dispatch_executed_total")
         .add(outcome.stats.vm_dispatch_executed);
-    orochi_obs::registry::counter_owned(&format!("vm_dispatch_represented_{engine}_total"))
+    orochi_obs::registry::counter("vm_dispatch_represented_total")
         .add(outcome.stats.vm_dispatch_total);
 }
 
@@ -425,7 +406,6 @@ pub fn run_audit_with(
         .map(|_| {
             let mut e = AccPhpExecutor::new(scripts.clone());
             e.force_scalar = !opts.grouped;
-            e.engine = opts.engine;
             e
         })
         .collect();
@@ -436,7 +416,7 @@ pub fn run_audit_with(
         audit_parallel(&bundle.trace, &bundle.reports, &mut executors, &config)?
     };
     let wall = t0.elapsed();
-    record_audit_obs(&outcome, opts.engine);
+    record_audit_obs(&outcome);
     let mut exec_stats = ExecutorStats::default();
     for e in &executors {
         exec_stats.merge(&e.stats);
@@ -481,7 +461,6 @@ pub fn run_audit_cold(
         .map(|_| {
             let mut e = AccPhpExecutor::new(scripts.clone());
             e.force_scalar = !opts.grouped;
-            e.engine = opts.engine;
             e
         })
         .collect();
@@ -492,7 +471,7 @@ pub fn run_audit_cold(
         audit_parallel_source(reader, &reports, &mut executors, &config)?
     };
     let wall = t0.elapsed();
-    record_audit_obs(&outcome, opts.engine);
+    record_audit_obs(&outcome);
     let mut exec_stats = ExecutorStats::default();
     for e in &executors {
         exec_stats.merge(&e.stats);
@@ -511,7 +490,6 @@ fn build_executors(work: &AppWorkload, opts: &AuditOptions) -> Vec<AccPhpExecuto
         .map(|_| {
             let mut e = AccPhpExecutor::new(scripts.clone());
             e.force_scalar = !opts.grouped;
-            e.engine = opts.engine;
             e
         })
         .collect()
@@ -535,7 +513,7 @@ pub fn run_audit_streaming(
     let t0 = Instant::now();
     let outcome = audit_streaming_source(reader, &reports, &mut executors, &config, epoch_events)?;
     let wall = t0.elapsed();
-    record_audit_obs(&outcome, opts.engine);
+    record_audit_obs(&outcome);
     let mut exec_stats = ExecutorStats::default();
     for e in &executors {
         exec_stats.merge(&e.stats);
@@ -609,7 +587,7 @@ pub fn serve_and_audit(
     let epochs = audit.epochs();
     let outcome = audit.finish(&reader, &mut executors)?;
     let wall = t0.elapsed();
-    record_audit_obs(&outcome, audit_opts.engine);
+    record_audit_obs(&outcome);
     let mut exec_stats = ExecutorStats::default();
     for e in &executors {
         exec_stats.merge(&e.stats);

@@ -3,12 +3,12 @@
 
 use crate::driver::{
     run_audit, run_audit_cold, run_audit_streaming, run_audit_with, serve, serve_drained,
-    serve_open_loop, serve_open_loop_with, spill_bundle, vm_engine_from_env, AppWorkload,
-    AuditOptions, OpenLoopOptions, ServeOptions,
+    serve_open_loop, serve_open_loop_with, spill_bundle, AppWorkload, AuditOptions,
+    OpenLoopOptions, ServeOptions,
 };
 use crate::mutation::{MutationPlan, MutationSite};
 use crate::tamper;
-use orochi_accphp::{AccPhpExecutor, VmEngine};
+use orochi_accphp::AccPhpExecutor;
 use orochi_common::metrics::percentile;
 use orochi_core::audit::{audit, audit_parallel};
 use orochi_core::streaming::audit_streaming_source;
@@ -714,10 +714,7 @@ pub struct AblationArm {
 }
 
 /// Experiment E7: {SIMD on/off} × {query dedup on/off} on the wiki
-/// workload, plus the stack-engine baseline of the best arm (the
-/// engine axis: same grouping, different bytecode ISA — note ℓ_c
-/// differs between ISAs, so dispatch counts are comparable within an
-/// engine, not across).
+/// workload.
 pub fn ablation(scale: f64, seed: u64) -> Vec<AblationArm> {
     let work = AppWorkload {
         app: orochi_apps::wiki::app(),
@@ -726,19 +723,17 @@ pub fn ablation(scale: f64, seed: u64) -> Vec<AblationArm> {
     };
     let served = serve(&work, &ServeOptions::default());
     let arms = [
-        ("grouped+dedup", true, true, VmEngine::Register),
-        ("grouped", true, false, VmEngine::Register),
-        ("scalar+dedup", false, true, VmEngine::Register),
-        ("scalar", false, false, VmEngine::Register),
-        ("grouped+dedup/stack", true, true, VmEngine::Stack),
+        ("grouped+dedup", true, true),
+        ("grouped", true, false),
+        ("scalar+dedup", false, true),
+        ("scalar", false, false),
     ];
     arms.iter()
-        .map(|(label, grouped, dedup, engine)| {
+        .map(|(label, grouped, dedup)| {
             let opts = AuditOptions {
                 grouped: *grouped,
                 dedup: *dedup,
                 threads: 1,
-                engine: *engine,
             };
             let run = run_audit_with(&served.bundle, &work, &opts)
                 .unwrap_or_else(|r| panic!("{label}: audit rejected: {r}"));
@@ -1282,14 +1277,9 @@ pub fn campaign(
     // The mutation loop shares one compiled script table; executors
     // are rebuilt per arm (they carry per-audit caches and stats).
     let scripts = work.app.compile().expect("application compiles");
-    let engine = vm_engine_from_env();
     let executors = |n: usize| -> Vec<AccPhpExecutor> {
         (0..n)
-            .map(|_| {
-                let mut e = AccPhpExecutor::new(scripts.clone());
-                e.engine = engine;
-                e
-            })
+            .map(|_| AccPhpExecutor::new(scripts.clone()))
             .collect()
     };
     let mut config = work.audit_config();
@@ -1517,7 +1507,7 @@ mod tests {
     #[test]
     fn ablation_runs_all_arms() {
         let arms = ablation(0.01, 5);
-        assert_eq!(arms.len(), 5);
+        assert_eq!(arms.len(), 4);
         // Dedup arms must answer some SELECTs from cache.
         assert!(arms[0].deduped > 0);
         // No-dedup arms must not.
@@ -1526,8 +1516,5 @@ mod tests {
         // the scalar arms run everything.
         assert!(arms[0].vm_dispatch_executed < arms[0].vm_dispatch_total);
         assert_eq!(arms[3].vm_dispatch_executed, arms[3].vm_dispatch_total);
-        // The stack baseline groups just as well (its ℓ_c differs, so
-        // only the ratio is comparable).
-        assert!(arms[4].vm_dispatch_executed < arms[4].vm_dispatch_total);
     }
 }

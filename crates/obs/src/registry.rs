@@ -294,8 +294,8 @@ pub fn counter(name: &'static str) -> &'static Counter {
     counter_owned(name)
 }
 
-/// [`counter`] for a runtime-constructed name (per-engine metrics like
-/// `vm_dispatch_executed_register_total`). The name is leaked only on
+/// [`counter`] for a runtime-constructed name (per-phase metrics like
+/// `audit_phase_replay_ns`). The name is leaked only on
 /// first registration, so repeated lookups do not accumulate memory.
 pub fn counter_owned(name: &str) -> &'static Counter {
     let mut reg = lock_registry();

@@ -1,14 +1,15 @@
-//! AST-to-bytecode compiler.
+//! AST-to-register-bytecode compiler.
 //!
 //! Scoping model: the script body's variables are the globals; function
 //! bodies have private locals unless a name is a superglobal or declared
-//! with `global`. Every expression compiles to code leaving exactly one
-//! value on the stack; statement expressions pop it.
+//! with `global`. Locals are registers `0..num_locals` of a frame's
+//! window; every expression evaluates into a register (a local's own, or
+//! a temporary above the locals) and statement expressions discard it.
 
 use crate::ast::{AssignOp, BinOp, Expr, LValue, Script, Stmt};
 use crate::builtins;
 use crate::bytecode::{
-    rinsn, superglobal_slot, CompiledFunction, CompiledScript, Op, ROp, SUPERGLOBALS,
+    rinsn, superglobal_slot, CompiledFunction, CompiledScript, ROp, SUPERGLOBALS,
 };
 use crate::value::{ArrayKey, PhpArray, Value};
 use std::collections::HashMap;
@@ -106,33 +107,6 @@ impl Shared {
     }
 }
 
-/// Where a variable lives.
-#[derive(Debug, Clone, Copy)]
-enum Place {
-    Local(u16),
-    Global(u16),
-}
-
-struct FnCompiler<'a> {
-    shared: &'a mut Shared,
-    /// True when compiling the script body (all vars are globals).
-    is_main: bool,
-    locals: HashMap<String, u16>,
-    num_locals: u16,
-    global_decls: HashMap<String, u16>,
-    code: Vec<Op>,
-    /// Stack of loop contexts: (continue jump indices, break jump
-    /// indices, continue target when already known).
-    loops: Vec<LoopCtx>,
-    temp_counter: u32,
-}
-
-struct LoopCtx {
-    continue_jumps: Vec<usize>,
-    break_jumps: Vec<usize>,
-    continue_target: Option<u32>,
-}
-
 fn compile_function(
     name: &str,
     params: &[(String, Option<Expr>)],
@@ -140,45 +114,22 @@ fn compile_function(
     shared: &mut Shared,
     is_main: bool,
 ) -> Result<CompiledFunction, CompileError> {
-    let mut c = FnCompiler {
-        shared,
-        is_main,
-        locals: HashMap::new(),
-        num_locals: 0,
-        global_decls: HashMap::new(),
-        code: Vec::new(),
-        loops: Vec::new(),
-        temp_counter: 0,
-    };
     let mut defaults = Vec::new();
     for (pname, default) in params {
-        let slot = c.local_slot(pname);
-        debug_assert_eq!(slot as usize, defaults.len(), "params claim slots first");
         match default {
             None => defaults.push(None),
             Some(expr) => {
                 let v = literal_value(expr)
                     .ok_or_else(|| err(format!("non-literal default for ${pname}")))?;
-                defaults.push(Some(c.shared.const_idx(v)));
+                defaults.push(Some(shared.const_idx(v)));
             }
         }
     }
-    for stmt in body {
-        c.stmt(stmt)?;
-    }
-    c.code.push(Op::ReturnNull);
-    let stack_code = c.code;
-    let num_locals = c.num_locals;
-    // Second pass: the register encoding. Runs after the stack pass so
-    // the shared constant pool and global-slot table are already
-    // populated; both encodings resolve names to the same dense indices.
     let (reg_code, register_count) = RegCompiler::compile(shared, is_main, params, body)?;
     Ok(CompiledFunction {
         name: name.to_string(),
         num_params: params.len() as u16,
         defaults,
-        num_locals,
-        code: stack_code,
         reg_code,
         register_count,
     })
@@ -214,735 +165,6 @@ fn literal_value(e: &Expr) -> Option<Value> {
             Some(Value::array(a))
         }
         _ => None,
-    }
-}
-
-impl FnCompiler<'_> {
-    fn local_slot(&mut self, name: &str) -> u16 {
-        if let Some(&slot) = self.locals.get(name) {
-            return slot;
-        }
-        let slot = self.num_locals;
-        self.locals.insert(name.to_string(), slot);
-        self.num_locals += 1;
-        slot
-    }
-
-    fn temp_slot(&mut self) -> u16 {
-        self.temp_counter += 1;
-        self.local_slot(&format!("\u{0}tmp{}", self.temp_counter))
-    }
-
-    fn place(&mut self, name: &str) -> Place {
-        if let Some(slot) = superglobal_slot(name) {
-            return Place::Global(slot);
-        }
-        if self.is_main {
-            return Place::Global(self.shared.global_slot(name));
-        }
-        if let Some(&slot) = self.global_decls.get(name) {
-            return Place::Global(slot);
-        }
-        Place::Local(self.local_slot(name))
-    }
-
-    fn emit_load(&mut self, place: Place) {
-        self.code.push(match place {
-            Place::Local(s) => Op::LoadLocal(s),
-            Place::Global(s) => Op::LoadGlobal(s),
-        });
-    }
-
-    fn emit_store(&mut self, place: Place) {
-        self.code.push(match place {
-            Place::Local(s) => Op::StoreLocal(s),
-            Place::Global(s) => Op::StoreGlobal(s),
-        });
-    }
-
-    fn const_op(&mut self, v: Value) {
-        let idx = self.shared.const_idx(v);
-        self.code.push(Op::Const(idx));
-    }
-
-    fn here(&self) -> u32 {
-        self.code.len() as u32
-    }
-
-    /// Emits a placeholder jump; returns its index for patching.
-    fn emit_jump(&mut self, make: fn(u32) -> Op) -> usize {
-        self.code.push(make(u32::MAX));
-        self.code.len() - 1
-    }
-
-    fn patch(&mut self, idx: usize, target: u32) {
-        let op = match self.code[idx] {
-            Op::Jump(_) => Op::Jump(target),
-            Op::JumpIfFalse(_) => Op::JumpIfFalse(target),
-            Op::JumpIfTrue(_) => Op::JumpIfTrue(target),
-            Op::IterNext(_) => Op::IterNext(target),
-            Op::IterNextKV(_) => Op::IterNextKV(target),
-            other => unreachable!("patching non-jump {other:?}"),
-        };
-        self.code[idx] = op;
-    }
-
-    fn stmt(&mut self, stmt: &Stmt) -> Result<(), CompileError> {
-        match stmt {
-            Stmt::Echo(exprs) => {
-                for e in exprs {
-                    self.expr(e)?;
-                    self.code.push(Op::Echo);
-                }
-            }
-            Stmt::Expr(e) => {
-                self.expr(e)?;
-                self.code.push(Op::Pop);
-            }
-            Stmt::If { arms, otherwise } => {
-                let mut end_jumps = Vec::new();
-                for (cond, body) in arms {
-                    self.expr(cond)?;
-                    let skip = self.emit_jump(Op::JumpIfFalse);
-                    for s in body {
-                        self.stmt(s)?;
-                    }
-                    end_jumps.push(self.emit_jump(Op::Jump));
-                    let here = self.here();
-                    self.patch(skip, here);
-                }
-                for s in otherwise {
-                    self.stmt(s)?;
-                }
-                let here = self.here();
-                for j in end_jumps {
-                    self.patch(j, here);
-                }
-            }
-            Stmt::While { cond, body } => {
-                let start = self.here();
-                self.expr(cond)?;
-                let exit = self.emit_jump(Op::JumpIfFalse);
-                self.loops.push(LoopCtx {
-                    continue_jumps: Vec::new(),
-                    break_jumps: Vec::new(),
-                    continue_target: Some(start),
-                });
-                for s in body {
-                    self.stmt(s)?;
-                }
-                self.code.push(Op::Jump(start));
-                let end = self.here();
-                self.patch(exit, end);
-                let ctx = self.loops.pop().expect("loop context pushed above");
-                for j in ctx.break_jumps {
-                    self.patch(j, end);
-                }
-                for j in ctx.continue_jumps {
-                    self.patch(j, start);
-                }
-            }
-            Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                for e in init {
-                    self.expr(e)?;
-                    self.code.push(Op::Pop);
-                }
-                let start = self.here();
-                let exit = match cond {
-                    Some(c) => {
-                        self.expr(c)?;
-                        Some(self.emit_jump(Op::JumpIfFalse))
-                    }
-                    None => None,
-                };
-                self.loops.push(LoopCtx {
-                    continue_jumps: Vec::new(),
-                    break_jumps: Vec::new(),
-                    continue_target: None,
-                });
-                for s in body {
-                    self.stmt(s)?;
-                }
-                let step_label = self.here();
-                for e in step {
-                    self.expr(e)?;
-                    self.code.push(Op::Pop);
-                }
-                self.code.push(Op::Jump(start));
-                let end = self.here();
-                if let Some(exit) = exit {
-                    self.patch(exit, end);
-                }
-                let ctx = self.loops.pop().expect("loop context pushed above");
-                for j in ctx.break_jumps {
-                    self.patch(j, end);
-                }
-                for j in ctx.continue_jumps {
-                    self.patch(j, step_label);
-                }
-            }
-            Stmt::Foreach {
-                array,
-                key_var,
-                value_var,
-                body,
-            } => {
-                self.expr(array)?;
-                self.code.push(Op::IterInit);
-                let start = self.here();
-                let next_idx = match key_var {
-                    Some(_) => self.emit_jump(Op::IterNextKV),
-                    None => self.emit_jump(Op::IterNext),
-                };
-                // Stack after IterNextKV: [key, value]; store value
-                // first, then key.
-                let vplace = self.place(value_var);
-                self.emit_store(vplace);
-                if let Some(k) = key_var {
-                    let kplace = self.place(k);
-                    self.emit_store(kplace);
-                }
-                self.loops.push(LoopCtx {
-                    continue_jumps: Vec::new(),
-                    break_jumps: Vec::new(),
-                    continue_target: Some(start),
-                });
-                for s in body {
-                    self.stmt(s)?;
-                }
-                self.code.push(Op::Jump(start));
-                let end = self.here();
-                self.patch(next_idx, end);
-                self.code.push(Op::IterPop);
-                let ctx = self.loops.pop().expect("loop context pushed above");
-                for j in ctx.break_jumps {
-                    // Break jumps to `end`, where IterPop cleans up.
-                    self.patch(j, end);
-                }
-                for j in ctx.continue_jumps {
-                    self.patch(j, start);
-                }
-            }
-            Stmt::Switch {
-                subject,
-                cases,
-                default,
-            } => {
-                self.expr(subject)?;
-                let tmp = self.temp_slot();
-                self.code.push(Op::StoreLocal(tmp));
-                // Dispatch: loose-compare against each case value.
-                let mut case_jumps = Vec::new();
-                for (value, _) in cases {
-                    self.code.push(Op::LoadLocal(tmp));
-                    self.expr(value)?;
-                    self.code.push(Op::Eq);
-                    case_jumps.push(self.emit_jump(Op::JumpIfTrue));
-                }
-                let default_jump = self.emit_jump(Op::Jump);
-                // Bodies in source order with fallthrough; default sits
-                // at its recorded position.
-                self.loops.push(LoopCtx {
-                    continue_jumps: Vec::new(),
-                    break_jumps: Vec::new(),
-                    continue_target: None,
-                });
-                let mut default_target = None;
-                for (i, (_, body)) in cases.iter().enumerate() {
-                    if let Some((pos, dbody)) = default {
-                        if *pos == i {
-                            default_target = Some(self.here());
-                            for s in dbody {
-                                self.stmt(s)?;
-                            }
-                        }
-                    }
-                    let here = self.here();
-                    self.patch(case_jumps[i], here);
-                    for s in body {
-                        self.stmt(s)?;
-                    }
-                }
-                if let Some((pos, dbody)) = default {
-                    if *pos == cases.len() {
-                        default_target = Some(self.here());
-                        for s in dbody {
-                            self.stmt(s)?;
-                        }
-                    }
-                }
-                let end = self.here();
-                self.patch(default_jump, default_target.unwrap_or(end));
-                let ctx = self.loops.pop().expect("switch context pushed above");
-                for j in ctx.break_jumps {
-                    self.patch(j, end);
-                }
-                if !ctx.continue_jumps.is_empty() {
-                    return Err(err("continue inside switch is not supported"));
-                }
-            }
-            Stmt::Break => {
-                let j = self.emit_jump(Op::Jump);
-                match self.loops.last_mut() {
-                    Some(ctx) => ctx.break_jumps.push(j),
-                    None => return Err(err("break outside loop")),
-                }
-            }
-            Stmt::Continue => match self.loops.last_mut() {
-                Some(ctx) => match ctx.continue_target {
-                    Some(target) => {
-                        self.code.push(Op::Jump(target));
-                    }
-                    None => {
-                        let j = self.emit_jump(Op::Jump);
-                        self.loops
-                            .last_mut()
-                            .expect("checked above")
-                            .continue_jumps
-                            .push(j);
-                    }
-                },
-                None => return Err(err("continue outside loop")),
-            },
-            Stmt::Return(value) => match value {
-                Some(e) => {
-                    self.expr(e)?;
-                    self.code.push(Op::Return);
-                }
-                None => self.code.push(Op::ReturnNull),
-            },
-            Stmt::Global(names) => {
-                if self.is_main {
-                    // `global` at script level is a no-op.
-                    return Ok(());
-                }
-                for name in names {
-                    let slot = self.shared.global_slot(name);
-                    self.global_decls.insert(name.clone(), slot);
-                }
-            }
-            Stmt::Unset(lv) => {
-                let n = lv.path.len() as u8;
-                for step in &lv.path {
-                    match step {
-                        Some(k) => self.expr(k)?,
-                        None => return Err(err("cannot unset an append target")),
-                    }
-                }
-                let place = self.place(&lv.var);
-                self.code.push(match place {
-                    Place::Local(s) => Op::UnsetPathLocal(s, n),
-                    Place::Global(s) => Op::UnsetPathGlobal(s, n),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn expr(&mut self, e: &Expr) -> Result<(), CompileError> {
-        match e {
-            Expr::Int(i) => self.const_op(Value::Int(*i)),
-            Expr::Float(f) => self.const_op(Value::Float(*f)),
-            Expr::Str(s) => self.const_op(Value::str(s.clone())),
-            Expr::Bool(b) => self.const_op(Value::Bool(*b)),
-            Expr::Null => self.const_op(Value::Null),
-            Expr::Var(name) => {
-                let place = self.place(name);
-                self.emit_load(place);
-            }
-            Expr::Index { base, index } => {
-                self.expr(base)?;
-                self.expr(index)?;
-                self.code.push(Op::IndexGet);
-            }
-            Expr::ArrayLit(pairs) => {
-                self.code.push(Op::NewArray);
-                for (key, value) in pairs {
-                    match key {
-                        None => {
-                            self.expr(value)?;
-                            self.code.push(Op::AppendStack);
-                        }
-                        Some(k) => {
-                            self.expr(k)?;
-                            self.expr(value)?;
-                            self.code.push(Op::InsertStack);
-                        }
-                    }
-                }
-            }
-            Expr::Assign { target, op, value } => {
-                self.compile_assign(target, *op, value)?;
-            }
-            Expr::Binary { op, lhs, rhs } => match op {
-                BinOp::And => {
-                    self.expr(lhs)?;
-                    let f1 = self.emit_jump(Op::JumpIfFalse);
-                    self.expr(rhs)?;
-                    let f2 = self.emit_jump(Op::JumpIfFalse);
-                    self.const_op(Value::Bool(true));
-                    let end = self.emit_jump(Op::Jump);
-                    let fl = self.here();
-                    self.patch(f1, fl);
-                    self.patch(f2, fl);
-                    self.const_op(Value::Bool(false));
-                    let here = self.here();
-                    self.patch(end, here);
-                }
-                BinOp::Or => {
-                    self.expr(lhs)?;
-                    let t1 = self.emit_jump(Op::JumpIfTrue);
-                    self.expr(rhs)?;
-                    let t2 = self.emit_jump(Op::JumpIfTrue);
-                    self.const_op(Value::Bool(false));
-                    let end = self.emit_jump(Op::Jump);
-                    let tl = self.here();
-                    self.patch(t1, tl);
-                    self.patch(t2, tl);
-                    self.const_op(Value::Bool(true));
-                    let here = self.here();
-                    self.patch(end, here);
-                }
-                _ => {
-                    self.expr(lhs)?;
-                    self.expr(rhs)?;
-                    self.code.push(binop_code(*op));
-                }
-            },
-            Expr::Not(inner) => {
-                self.expr(inner)?;
-                self.code.push(Op::Not);
-            }
-            Expr::Neg(inner) => {
-                self.expr(inner)?;
-                self.code.push(Op::Neg);
-            }
-            Expr::IncDec { target, inc, pre } => {
-                self.compile_incdec(target, *inc, *pre)?;
-            }
-            Expr::Ternary {
-                cond,
-                then,
-                otherwise,
-            } => match then {
-                Some(then) => {
-                    self.expr(cond)?;
-                    let to_else = self.emit_jump(Op::JumpIfFalse);
-                    self.expr(then)?;
-                    let to_end = self.emit_jump(Op::Jump);
-                    let el = self.here();
-                    self.patch(to_else, el);
-                    self.expr(otherwise)?;
-                    let end = self.here();
-                    self.patch(to_end, end);
-                }
-                None => {
-                    // Elvis: cond ?: else — cond evaluated once.
-                    self.expr(cond)?;
-                    self.code.push(Op::Dup);
-                    let keep = self.emit_jump(Op::JumpIfTrue);
-                    self.code.push(Op::Pop);
-                    self.expr(otherwise)?;
-                    let end = self.here();
-                    self.patch(keep, end);
-                }
-            },
-            Expr::Call { name, args } => {
-                if let Some(&fidx) = self.shared.functions.get(name) {
-                    for a in args {
-                        self.expr(a)?;
-                    }
-                    self.code.push(Op::Call(fidx, args.len() as u8));
-                } else if let Some(bidx) = builtins::lookup(name) {
-                    if builtins::is_byref(bidx) {
-                        self.compile_byref_call(name, bidx, args)?;
-                    } else {
-                        for a in args {
-                            self.expr(a)?;
-                        }
-                        self.code.push(Op::CallBuiltin(bidx, args.len() as u8));
-                    }
-                } else {
-                    return Err(err(format!("call to undefined function {name}()")));
-                }
-            }
-            Expr::Isset(lv) => {
-                let n = lv.path.len() as u8;
-                for step in &lv.path {
-                    match step {
-                        Some(k) => self.expr(k)?,
-                        None => return Err(err("isset on append target")),
-                    }
-                }
-                let place = self.place(&lv.var);
-                self.code.push(match place {
-                    Place::Local(s) => Op::IssetPathLocal(s, n),
-                    Place::Global(s) => Op::IssetPathGlobal(s, n),
-                });
-            }
-            Expr::Empty(inner) => {
-                self.expr(inner)?;
-                self.code.push(Op::Not);
-            }
-        }
-        Ok(())
-    }
-
-    /// Compiles a by-reference builtin call (`sort($a)`,
-    /// `array_push($a, $v)`): the target array travels as the first
-    /// argument and the returned array is stored back into the variable.
-    /// The builtin's PHP return value stays on the stack.
-    fn compile_byref_call(
-        &mut self,
-        name: &str,
-        bidx: u16,
-        args: &[Expr],
-    ) -> Result<(), CompileError> {
-        let target = match args.first() {
-            Some(Expr::Var(v)) => LValue {
-                var: v.clone(),
-                path: Vec::new(),
-            },
-            Some(Expr::Index { .. }) => {
-                // Rebuild the lvalue from a nested index expression.
-                fn unroll(e: &Expr, path: &mut Vec<Option<Expr>>) -> Option<String> {
-                    match e {
-                        Expr::Var(v) => Some(v.clone()),
-                        Expr::Index { base, index } => {
-                            let var = unroll(base, path)?;
-                            path.push(Some((**index).clone()));
-                            Some(var)
-                        }
-                        _ => None,
-                    }
-                }
-                let mut path = Vec::new();
-                let var = unroll(args.first().expect("checked above"), &mut path)
-                    .ok_or_else(|| err(format!("{name}() requires a variable argument")))?;
-                LValue { var, path }
-            }
-            _ => return Err(err(format!("{name}() requires a variable argument"))),
-        };
-        let place = self.place(&target.var);
-        let n = target.path.len() as u8;
-        // Stash path keys in temps (used for both the read and the
-        // write-back).
-        let temps: Vec<u16> = (0..target.path.len()).map(|_| self.temp_slot()).collect();
-        for (k, t) in target.path.iter().zip(&temps) {
-            self.expr(k.as_ref().expect("index paths have keys"))?;
-            self.code.push(Op::StoreLocal(*t));
-        }
-        // Current array value as arg 0.
-        self.emit_load(place);
-        for t in &temps {
-            self.code.push(Op::LoadLocal(*t));
-            self.code.push(Op::IndexGet);
-        }
-        for a in &args[1..] {
-            self.expr(a)?;
-        }
-        self.code.push(Op::CallBuiltin(bidx, args.len() as u8));
-        // Stack: [new_target, ret] -> store new_target back, keep ret.
-        self.code.push(Op::Swap);
-        if target.path.is_empty() {
-            self.emit_store(place);
-        } else {
-            for t in &temps {
-                self.code.push(Op::LoadLocal(*t));
-            }
-            self.code.push(match place {
-                Place::Local(s) => Op::SetPathLocal(s, n),
-                Place::Global(s) => Op::SetPathGlobal(s, n),
-            });
-            self.code.push(Op::Pop);
-        }
-        Ok(())
-    }
-
-    /// Compiles assignment; leaves the assigned value on the stack.
-    fn compile_assign(
-        &mut self,
-        target: &LValue,
-        op: AssignOp,
-        value: &Expr,
-    ) -> Result<(), CompileError> {
-        let place = self.place(&target.var);
-        if target.path.is_empty() {
-            // Plain variable.
-            match op {
-                AssignOp::Set => self.expr(value)?,
-                _ => {
-                    self.emit_load(place);
-                    self.expr(value)?;
-                    self.code.push(compound_code(op));
-                }
-            }
-            self.code.push(Op::Dup);
-            self.emit_store(place);
-            return Ok(());
-        }
-        // Path assignment. Appends cannot be compound.
-        let has_append = target.path.iter().any(|p| p.is_none());
-        if has_append {
-            if op != AssignOp::Set {
-                return Err(err("compound assignment to append target"));
-            }
-            // Only a trailing append is supported: $a[k1]..[kn][] = v.
-            let (last, keys) = target.path.split_last().expect("non-empty path");
-            if last.is_some() || keys.iter().any(|p| p.is_none()) {
-                return Err(err("only a trailing [] append is supported"));
-            }
-            self.expr(value)?;
-            for k in keys {
-                self.expr(k.as_ref().expect("checked above"))?;
-            }
-            let n = target.path.len() as u8;
-            self.code.push(match place {
-                Place::Local(s) => Op::AppendPathLocal(s, n),
-                Place::Global(s) => Op::AppendPathGlobal(s, n),
-            });
-            return Ok(());
-        }
-        let n = target.path.len() as u8;
-        match op {
-            AssignOp::Set => {
-                self.expr(value)?;
-                for k in &target.path {
-                    self.expr(k.as_ref().expect("no appends in this branch"))?;
-                }
-                self.code.push(match place {
-                    Place::Local(s) => Op::SetPathLocal(s, n),
-                    Place::Global(s) => Op::SetPathGlobal(s, n),
-                });
-            }
-            _ => {
-                // Compound: stash keys in temps so they evaluate once.
-                let temps: Vec<u16> = (0..target.path.len()).map(|_| self.temp_slot()).collect();
-                for (k, t) in target.path.iter().zip(&temps) {
-                    self.expr(k.as_ref().expect("no appends in this branch"))?;
-                    self.code.push(Op::StoreLocal(*t));
-                }
-                // current = base[k1]..[kn]
-                self.emit_load(place);
-                for t in &temps {
-                    self.code.push(Op::LoadLocal(*t));
-                    self.code.push(Op::IndexGet);
-                }
-                self.expr(value)?;
-                self.code.push(compound_code(op));
-                for t in &temps {
-                    self.code.push(Op::LoadLocal(*t));
-                }
-                self.code.push(match place {
-                    Place::Local(s) => Op::SetPathLocal(s, n),
-                    Place::Global(s) => Op::SetPathGlobal(s, n),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Compiles `++`/`--`; leaves the expression value (old for postfix,
-    /// new for prefix).
-    fn compile_incdec(
-        &mut self,
-        target: &LValue,
-        inc: bool,
-        pre: bool,
-    ) -> Result<(), CompileError> {
-        if target.path.is_empty() {
-            let place = self.place(&target.var);
-            let op = match (place, inc, pre) {
-                (Place::Local(s), true, true) => Op::PreIncLocal(s),
-                (Place::Local(s), true, false) => Op::PostIncLocal(s),
-                (Place::Local(s), false, true) => Op::PreDecLocal(s),
-                (Place::Local(s), false, false) => Op::PostDecLocal(s),
-                (Place::Global(s), true, true) => Op::PreIncGlobal(s),
-                (Place::Global(s), true, false) => Op::PostIncGlobal(s),
-                (Place::Global(s), false, true) => Op::PreDecGlobal(s),
-                (Place::Global(s), false, false) => Op::PostDecGlobal(s),
-            };
-            self.code.push(op);
-            return Ok(());
-        }
-        // Path form: load-modify-store with key temps.
-        let place = self.place(&target.var);
-        let n = target.path.len() as u8;
-        let temps: Vec<u16> = (0..target.path.len()).map(|_| self.temp_slot()).collect();
-        for (k, t) in target.path.iter().zip(&temps) {
-            match k {
-                Some(k) => self.expr(k)?,
-                None => return Err(err("increment of append target")),
-            }
-            self.code.push(Op::StoreLocal(*t));
-        }
-        self.emit_load(place);
-        for t in &temps {
-            self.code.push(Op::LoadLocal(*t));
-            self.code.push(Op::IndexGet);
-        }
-        // Stack: [cur].
-        if pre {
-            self.const_op(Value::Int(1));
-            self.code.push(if inc { Op::Add } else { Op::Sub });
-            for t in &temps {
-                self.code.push(Op::LoadLocal(*t));
-            }
-            self.code.push(match place {
-                Place::Local(s) => Op::SetPathLocal(s, n),
-                Place::Global(s) => Op::SetPathGlobal(s, n),
-            });
-        } else {
-            self.code.push(Op::Dup);
-            self.const_op(Value::Int(1));
-            self.code.push(if inc { Op::Add } else { Op::Sub });
-            for t in &temps {
-                self.code.push(Op::LoadLocal(*t));
-            }
-            self.code.push(match place {
-                Place::Local(s) => Op::SetPathLocal(s, n),
-                Place::Global(s) => Op::SetPathGlobal(s, n),
-            });
-            self.code.push(Op::Pop);
-        }
-        Ok(())
-    }
-}
-
-fn binop_code(op: BinOp) -> Op {
-    match op {
-        BinOp::Add => Op::Add,
-        BinOp::Sub => Op::Sub,
-        BinOp::Mul => Op::Mul,
-        BinOp::Div => Op::Div,
-        BinOp::Mod => Op::Mod,
-        BinOp::Concat => Op::Concat,
-        BinOp::Eq => Op::Eq,
-        BinOp::Ne => Op::Ne,
-        BinOp::Identical => Op::Identical,
-        BinOp::NotIdentical => Op::NotIdentical,
-        BinOp::Lt => Op::Lt,
-        BinOp::Le => Op::Le,
-        BinOp::Gt => Op::Gt,
-        BinOp::Ge => Op::Ge,
-        BinOp::And | BinOp::Or => unreachable!("short-circuit ops compile to jumps"),
-    }
-}
-
-fn compound_code(op: AssignOp) -> Op {
-    match op {
-        AssignOp::Add => Op::Add,
-        AssignOp::Sub => Op::Sub,
-        AssignOp::Mul => Op::Mul,
-        AssignOp::Div => Op::Div,
-        AssignOp::Mod => Op::Mod,
-        AssignOp::Concat => Op::Concat,
-        AssignOp::Set => unreachable!("plain set handled separately"),
     }
 }
 
@@ -1028,14 +250,15 @@ struct RLoopCtx {
     continue_target: Option<u16>,
 }
 
-/// The register-allocation pass. Walks the same AST as the stack pass
-/// and emits the 32-bit register encoding.
+/// The compiler pass: register allocation plus code generation into the
+/// 32-bit register encoding. It owns the script's constant pool and
+/// global-slot table through [`Shared`].
 ///
-/// Invariants that keep the two encodings replay-equivalent:
+/// Invariants:
 /// - every digest-mixed event (conditional jump, iterator advance) is
-///   emitted in exactly the same evaluation order as the stack pass, so
-///   per-request branch-event streams — and therefore control-flow
-///   digests — are identical across engines;
+///   emitted in PHP's left-to-right evaluation order, so per-request
+///   branch-event streams — and therefore control-flow digests — are a
+///   function of the source program (`tests/golden.rs` pins them);
 /// - temporaries use stack discipline (`sp` high-watermark becomes
 ///   `register_count`); an operand is borrowed directly from a local's
 ///   register only when no later-evaluated sibling can write variables
@@ -1073,9 +296,8 @@ impl<'a> RegCompiler<'a> {
         };
         // Pre-scan: fix the local -> register map before codegen so
         // temporaries can sit above all locals. Params claim registers
-        // first, then body variables in first-use order (mirroring the
-        // stack pass's `place()` decisions, including order-sensitive
-        // `global` declarations).
+        // first, then body variables in first-use order (honouring
+        // order-sensitive `global` declarations).
         for (pname, _) in params {
             c.scan_var(pname);
         }
@@ -1513,7 +735,7 @@ impl<'a> RegCompiler<'a> {
                         kplace,
                         vplace,
                     } => {
-                        // Mirror the stack pass: store value, then key.
+                        // Store value, then key.
                         self.store_to(*vplace, *tmp + 1)?;
                         self.store_to(*kplace, *tmp)?;
                     }
@@ -1981,8 +1203,7 @@ impl<'a> RegCompiler<'a> {
             let n = target.path.len() as u8;
             match op {
                 AssignOp::Set => {
-                    // Value first, then keys — matching the stack pass's
-                    // event order.
+                    // Value first, then keys.
                     let pbase = self.alloc()?;
                     self.rexpr_into(value, pbase)?;
                     for k in &target.path {
@@ -2043,8 +1264,8 @@ impl<'a> RegCompiler<'a> {
             }
             return Ok(dst);
         }
-        // Path form: read-modify-write through `Add/Sub 1`, preserving
-        // the stack VM's quirk that `$a['k']--` on null yields -1.
+        // Path form: read-modify-write through `Add/Sub 1`, so
+        // `$a['k']--` on null yields -1.
         let place = self.rplace(&target.var);
         let n = target.path.len() as u8;
         let old = if pre { None } else { Some(self.alloc()?) };
@@ -2194,31 +1415,39 @@ mod tests {
         assert!(c.global_names.contains(&"x".to_string()));
     }
 
+    fn has_op(code: &[u32], op: ROp) -> bool {
+        code.iter().any(|&insn| rinsn::op(insn) == op)
+    }
+
     #[test]
     fn function_locals_are_private() {
         let c = compile_src("function f($a) { $b = $a + 1; return $b; } $b = 5; echo f($b);");
         let f = &c.functions[0];
         assert_eq!(f.num_params, 1);
-        assert!(f.num_locals >= 2); // $a and $b.
+        assert!(f.register_count >= 2); // $a and $b.
+        assert!(!has_op(&f.reg_code, ROp::LoadGlobal));
     }
 
     #[test]
     fn global_declaration_binds_to_global_slot() {
         let c = compile_src("$cfg = 1; function g() { global $cfg; return $cfg; }");
         let g = &c.functions[0];
-        assert!(g.code.iter().any(|op| matches!(op, Op::LoadGlobal(_))));
+        assert!(has_op(&g.reg_code, ROp::LoadGlobal));
     }
 
     #[test]
     fn jumps_are_patched() {
         let c = compile_src("if ($x) { echo 1; } else { echo 2; }");
-        for op in &c.main.code {
-            match op {
-                Op::Jump(t) | Op::JumpIfFalse(t) | Op::JumpIfTrue(t) => {
-                    assert!(*t != u32::MAX, "unpatched jump");
-                    assert!((*t as usize) <= c.main.code.len());
-                }
-                _ => {}
+        let code = &c.main.reg_code;
+        assert!(has_op(code, ROp::Jump) && has_op(code, ROp::JumpIfFalse));
+        for &insn in code {
+            if matches!(
+                rinsn::op(insn),
+                ROp::Jump | ROp::JumpIfFalse | ROp::JumpIfTrue
+            ) {
+                let t = rinsn::bx(insn);
+                assert!(t != u16::MAX as usize, "unpatched jump");
+                assert!(t <= code.len());
             }
         }
     }
@@ -2226,9 +1455,15 @@ mod tests {
     #[test]
     fn foreach_compiles_iter_ops() {
         let c = compile_src("foreach ($a as $k => $v) { echo $v; }");
-        assert!(c.main.code.iter().any(|op| matches!(op, Op::IterInit)));
-        assert!(c.main.code.iter().any(|op| matches!(op, Op::IterNextKV(_))));
-        assert!(c.main.code.iter().any(|op| matches!(op, Op::IterPop)));
+        let code = &c.main.reg_code;
+        assert!(has_op(code, ROp::IterInit));
+        assert!(has_op(code, ROp::IterNextKV));
+        assert!(has_op(code, ROp::IterPop));
+        for &insn in code {
+            if rinsn::op(insn) == ROp::IterNextKV {
+                assert!(rinsn::bx(insn) <= code.len(), "exit target in range");
+            }
+        }
     }
 
     #[test]

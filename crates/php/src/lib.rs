@@ -13,7 +13,7 @@
 //!   functions, superglobals, `if`/`while`/`for`/`foreach`/`switch`,
 //!   arrays, and ~70 builtins. No classes or closures (DESIGN.md
 //!   documents the scope).
-//! * [`compiler`] / [`bytecode`] — AST to stack bytecode. The opcode set
+//! * [`compiler`] / [`bytecode`] — AST to register bytecode. The opcode set
 //!   deliberately includes the instruction categories Fig. 10
 //!   benchmarks (multiply, concat, isset, jump, variable get, array
 //!   set, iteration, increment, new-array, builtin call).
@@ -37,7 +37,7 @@ pub mod value;
 pub mod vm;
 
 pub use backend::{BackendError, DbResult, DbScalar, NondetProvider, RuntimeBackend, StateBackend};
-pub use bytecode::{CompiledScript, Op};
+pub use bytecode::{CompiledScript, ROp};
 pub use compiler::compile;
 pub use parser::parse_script;
 pub use value::{ArrayKey, PhpArray, Value};

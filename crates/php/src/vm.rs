@@ -1,22 +1,19 @@
 //! The scalar VM: executes compiled scripts one request at a time.
 //!
-//! The primary engine is a **register VM**: fixed-width 32-bit
-//! instructions with explicit source/destination register operands (see
+//! The engine is a **register VM**: fixed-width 32-bit instructions with
+//! explicit source/destination register operands (see
 //! [`crate::bytecode::ROp`]), a flat pooled register file shared by all
 //! frames (a call's window starts where the caller's ends, so calls
 //! allocate nothing on the hot path), and literal/global/builtin
-//! references resolved to dense table indices at compile time. The
-//! previous stack-bytecode interpreter survives as [`stack`] — the
-//! differential oracle for property tests and the `--engine stack`
-//! baseline in benchmarks.
+//! references resolved to dense table indices at compile time.
 //!
-//! Both engines maintain the **control-flow digest** (§4.3): at every
+//! The VM maintains the **control-flow digest** (§4.3): at every
 //! conditional branch and iteration step, the digest absorbs the
 //! per-request *branch-event ordinal* and the direction taken, so
 //! requests with identical digests followed identical control-flow
 //! paths. Mixing the event ordinal (not the program counter) keeps
-//! digests identical across the two encodings: the compiler emits
-//! digest-mixed events in the same evaluation order in both.
+//! digests independent of code layout; the grouped VM in
+//! `orochi-accphp` mixes the same events per lane.
 //!
 //! PHP semantics implemented here (arithmetic overflow to float, `/`
 //! returning int only for exact integer division, string offsets, array
@@ -25,13 +22,11 @@
 
 use crate::backend::{BackendError, RuntimeBackend};
 use crate::builtins::{self, Host};
-use crate::bytecode::{rinsn, CompiledScript, Op, ROp};
+use crate::bytecode::{rinsn, CompiledScript, ROp};
 use crate::value::{ArrayKey, PhpArray, Value};
 use orochi_common::codec::Wire;
 use std::fmt;
 use std::sync::Arc;
-
-pub mod stack;
 
 /// The session cookie name every application uses.
 pub const SESSION_COOKIE: &str = "sess";
@@ -106,7 +101,7 @@ pub struct RequestOutput {
 /// Execution counters (feed Figs. 10 and 11).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecStats {
-    /// Instructions executed (dispatch count of the engine that ran).
+    /// Instructions executed (register-VM dispatches).
     pub instructions: u64,
 }
 
@@ -126,9 +121,8 @@ pub struct RunResult {
 pub use orochi_common::hash::fnv1a;
 
 /// Mixes one branch decision into a digest. `event` is the per-request
-/// branch-event ordinal (0, 1, 2, …), not a program counter: both
-/// bytecode encodings emit the same event sequence, so the digest is
-/// engine-independent.
+/// branch-event ordinal (0, 1, 2, …), not a program counter, so the
+/// digest does not depend on code layout.
 #[inline]
 pub fn digest_mix(digest: u64, event: u64, taken: bool) -> u64 {
     (digest ^ ((event << 1) | taken as u64)).wrapping_mul(orochi_common::hash::FNV_PRIME)
@@ -189,7 +183,7 @@ pub struct Vm<'a> {
     step_limit: u64,
 }
 
-/// Runs one request through a compiled script (register engine).
+/// Runs one request through a compiled script.
 ///
 /// On a fatal error the result is a deterministic 500 response — the
 /// online server and the verifier produce the identical page. An
@@ -260,8 +254,7 @@ pub fn run_request(
     }
 }
 
-/// Builds the initial globals table for a request (shared by both
-/// engines).
+/// Builds the initial globals table for a request.
 fn init_globals(script: &CompiledScript, input: &RequestInput) -> Vec<Value> {
     let mut globals = vec![Value::Null; script.global_names.len()];
     globals[0] = pairs_to_array(&input.get);
@@ -402,8 +395,7 @@ impl<'a> Vm<'a> {
                 ROp::Add | ROp::Sub | ROp::Mul | ROp::Div | ROp::Mod | ROp::Concat => {
                     let b = base + rinsn::b(insn);
                     let c = base + rinsn::c(insn);
-                    let sop = scalar_binop(rinsn::op(insn));
-                    self.regs[a] = ops::binary(sop, &self.regs[b], &self.regs[c])?;
+                    self.regs[a] = ops::binary(rinsn::op(insn), &self.regs[b], &self.regs[c])?;
                 }
                 ROp::Eq => {
                     let r = self.regs[base + rinsn::b(insn)]
@@ -426,9 +418,8 @@ impl<'a> Vm<'a> {
                     self.regs[a] = Value::Bool(!r);
                 }
                 ROp::Lt | ROp::Le | ROp::Gt | ROp::Ge => {
-                    let sop = scalar_binop(rinsn::op(insn));
                     let r = ops::relational(
-                        sop,
+                        rinsn::op(insn),
                         &self.regs[base + rinsn::b(insn)],
                         &self.regs[base + rinsn::c(insn)],
                     );
@@ -538,14 +529,12 @@ impl<'a> Vm<'a> {
                 }
                 ROp::IncDecLocal => {
                     let t = base + rinsn::b(insn);
-                    let sop = incdec_variant(rinsn::c(insn));
-                    let r = ops::incdec(&mut self.regs[t], sop)?;
+                    let r = ops::incdec(&mut self.regs[t], rinsn::c(insn))?;
                     self.regs[a] = r;
                 }
                 ROp::IncDecGlobal => {
                     let slot = rinsn::b(insn);
-                    let sop = incdec_variant(rinsn::c(insn));
-                    let r = ops::incdec(&mut self.globals[slot], sop)?;
+                    let r = ops::incdec(&mut self.globals[slot], rinsn::c(insn))?;
                     self.regs[a] = r;
                 }
                 ROp::Call => {
@@ -560,8 +549,7 @@ impl<'a> Vm<'a> {
                     }
                     let num_params = func.num_params as usize;
                     // Move args into the callee window (they are dead
-                    // temps in the caller); extras are dropped like the
-                    // stack engine does.
+                    // temps in the caller); extras are dropped.
                     for i in 0..argc {
                         let v = std::mem::replace(&mut self.regs[args_abs + i], Value::Null);
                         if i < num_params {
@@ -667,34 +655,6 @@ impl<'a> Vm<'a> {
                 }
             }
         }
-    }
-}
-
-/// Maps a register opcode to the scalar-op selector shared with the
-/// stack engine (`ops::binary` / `ops::relational` match on `Op`).
-fn scalar_binop(op: ROp) -> Op {
-    match op {
-        ROp::Add => Op::Add,
-        ROp::Sub => Op::Sub,
-        ROp::Mul => Op::Mul,
-        ROp::Div => Op::Div,
-        ROp::Mod => Op::Mod,
-        ROp::Concat => Op::Concat,
-        ROp::Lt => Op::Lt,
-        ROp::Le => Op::Le,
-        ROp::Gt => Op::Gt,
-        ROp::Ge => Op::Ge,
-        other => unreachable!("not a shared scalar op: {other:?}"),
-    }
-}
-
-/// Maps the IncDec variant operand to the scalar-op selector.
-fn incdec_variant(c: usize) -> Op {
-    match c {
-        0 => Op::PreIncLocal(0),
-        1 => Op::PostIncLocal(0),
-        2 => Op::PreDecLocal(0),
-        _ => Op::PostDecLocal(0),
     }
 }
 
@@ -820,29 +780,30 @@ pub fn pairs_to_array(pairs: &[(String, String)]) -> Value {
     Value::array(a)
 }
 
-/// Shared scalar operation semantics, used by both engines and the
-/// multivalue VM (which applies them per lane).
+/// Shared scalar operation semantics, used by the scalar VM and the
+/// multivalue VM (which applies them per lane), keyed by register
+/// opcode.
 pub mod ops {
     use super::*;
 
     /// Binary arithmetic/string ops with PHP coercions.
-    pub fn binary(op: Op, a: &Value, b: &Value) -> Result<Value, VmError> {
+    pub fn binary(op: ROp, a: &Value, b: &Value) -> Result<Value, VmError> {
         match op {
-            Op::Concat => {
+            ROp::Concat => {
                 let mut s = a.to_php_string();
                 s.push_str(&b.to_php_string());
                 Ok(Value::str(s))
             }
-            Op::Add | Op::Sub | Op::Mul => {
+            ROp::Add | ROp::Sub | ROp::Mul => {
                 if let (Value::Array(_), _) | (_, Value::Array(_)) = (a, b) {
                     return Err(VmError::Fatal("unsupported operand types: array".into()));
                 }
                 match (int_view(a), int_view(b)) {
                     (Some(x), Some(y)) => {
                         let r = match op {
-                            Op::Add => x.checked_add(y),
-                            Op::Sub => x.checked_sub(y),
-                            Op::Mul => x.checked_mul(y),
+                            ROp::Add => x.checked_add(y),
+                            ROp::Sub => x.checked_sub(y),
+                            ROp::Mul => x.checked_mul(y),
                             _ => unreachable!("arith subset"),
                         };
                         Ok(match r {
@@ -851,9 +812,9 @@ pub mod ops {
                             None => {
                                 let (x, y) = (x as f64, y as f64);
                                 Value::Float(match op {
-                                    Op::Add => x + y,
-                                    Op::Sub => x - y,
-                                    Op::Mul => x * y,
+                                    ROp::Add => x + y,
+                                    ROp::Sub => x - y,
+                                    ROp::Mul => x * y,
                                     _ => unreachable!("arith subset"),
                                 })
                             }
@@ -862,15 +823,15 @@ pub mod ops {
                     _ => {
                         let (x, y) = (a.to_php_float(), b.to_php_float());
                         Ok(Value::Float(match op {
-                            Op::Add => x + y,
-                            Op::Sub => x - y,
-                            Op::Mul => x * y,
+                            ROp::Add => x + y,
+                            ROp::Sub => x - y,
+                            ROp::Mul => x * y,
                             _ => unreachable!("arith subset"),
                         }))
                     }
                 }
             }
-            Op::Div => {
+            ROp::Div => {
                 if b.to_php_float() == 0.0 {
                     return Err(VmError::Fatal("division by zero".into()));
                 }
@@ -879,7 +840,7 @@ pub mod ops {
                     _ => Ok(Value::Float(a.to_php_float() / b.to_php_float())),
                 }
             }
-            Op::Mod => {
+            ROp::Mod => {
                 let y = b.to_php_int();
                 if y == 0 {
                     return Err(VmError::Fatal("modulo by zero".into()));
@@ -891,15 +852,15 @@ pub mod ops {
     }
 
     /// `<`, `<=`, `>`, `>=` (incomparable pairs yield false).
-    pub fn relational(op: Op, a: &Value, b: &Value) -> bool {
+    pub fn relational(op: ROp, a: &Value, b: &Value) -> bool {
         use std::cmp::Ordering::*;
         match a.loose_cmp(b) {
             None => false,
             Some(ord) => match op {
-                Op::Lt => ord == Less,
-                Op::Le => ord != Greater,
-                Op::Gt => ord == Greater,
-                Op::Ge => ord != Less,
+                ROp::Lt => ord == Less,
+                ROp::Le => ord != Greater,
+                ROp::Gt => ord == Greater,
+                ROp::Ge => ord != Less,
                 other => unreachable!("not relational: {other:?}"),
             },
         }
@@ -937,27 +898,22 @@ pub mod ops {
     }
 
     /// `++`/`--` on a storage slot (PHP: `null++` is 1, `null--` stays
-    /// null).
-    pub fn incdec(slot: &mut Value, op: Op) -> Result<Value, VmError> {
-        let inc = matches!(
-            op,
-            Op::PreIncLocal(_) | Op::PostIncLocal(_) | Op::PreIncGlobal(_) | Op::PostIncGlobal(_)
-        );
-        let pre = matches!(
-            op,
-            Op::PreIncLocal(_) | Op::PreDecLocal(_) | Op::PreIncGlobal(_) | Op::PreDecGlobal(_)
-        );
+    /// null). `variant` is the `IncDec*` C operand: 0 `++$x`, 1 `$x++`,
+    /// 2 `--$x`, 3 `$x--`.
+    pub fn incdec(slot: &mut Value, variant: usize) -> Result<Value, VmError> {
+        let inc = matches!(variant, 0 | 1);
+        let pre = matches!(variant, 0 | 2);
         let old = slot.clone();
         let new = match (&old, inc) {
             (Value::Null, true) => Value::Int(1),
             (Value::Null, false) => Value::Null,
-            _ => binary(if inc { Op::Add } else { Op::Sub }, &old, &Value::Int(1))?,
+            _ => binary(if inc { ROp::Add } else { ROp::Sub }, &old, &Value::Int(1))?,
         };
         *slot = new.clone();
         Ok(if pre { new } else { old })
     }
 
-    /// `$a[] = v` on a stack value (array literals).
+    /// `$a[] = v` on an array value (array literals).
     pub fn array_append(arr: Value, v: Value) -> Result<Value, VmError> {
         match arr {
             Value::Array(mut rc) => {
@@ -968,7 +924,7 @@ pub mod ops {
         }
     }
 
-    /// `$a[k] = v` on a stack value (array literals).
+    /// `$a[k] = v` on an array value (array literals).
     pub fn array_insert(arr: Value, k: &Value, v: Value) -> Result<Value, VmError> {
         match arr {
             Value::Array(mut rc) => {
@@ -1120,10 +1076,12 @@ mod tests {
     use crate::compiler::compile;
     use crate::parser::parse_script;
 
-    /// Runs a source snippet through BOTH engines and asserts they agree
-    /// on output and digest — every VM test doubles as a differential
-    /// check on the register encoding.
-    fn run_both(src: &str, get: &[(&str, &str)]) -> RunResult {
+    fn run(src: &str) -> String {
+        run_with(src, &[])
+    }
+
+    /// Runs a source snippet as one GET request; returns the body.
+    fn run_with(src: &str, get: &[(&str, &str)]) -> String {
         let script = compile("/t.php", &parse_script(src).unwrap()).unwrap();
         let input = RequestInput {
             method: "GET".into(),
@@ -1134,21 +1092,11 @@ mod tests {
                 .collect(),
             ..Default::default()
         };
-        let mut b1 = NullBackend;
-        let reg = run_request(&script, &mut b1, &input).unwrap();
-        let mut b2 = NullBackend;
-        let stk = stack::run_request(&script, &mut b2, &input).unwrap();
-        assert_eq!(reg.output, stk.output, "engines disagree on output");
-        assert_eq!(reg.digest, stk.digest, "engines disagree on digest");
-        reg
-    }
-
-    fn run(src: &str) -> String {
-        run_with(src, &[])
-    }
-
-    fn run_with(src: &str, get: &[(&str, &str)]) -> String {
-        run_both(src, get).output.body
+        let mut backend = NullBackend;
+        run_request(&script, &mut backend, &input)
+            .unwrap()
+            .output
+            .body
     }
 
     #[test]
@@ -1298,7 +1246,7 @@ mod tests {
     }
 
     #[test]
-    fn byref_builtins_through_both_engines() {
+    fn byref_builtins_update_their_targets() {
         assert_eq!(
             run("$a = [3, 1, 2]; sort($a); echo $a[0], $a[1], $a[2];"),
             "123"
@@ -1320,12 +1268,10 @@ mod tests {
             path: "/t.php".into(),
             ..Default::default()
         };
-        for runner in [run_request, stack::run_request] {
-            let mut b = NullBackend;
-            let result = runner(&script, &mut b, &input).unwrap();
-            assert_eq!(result.output.status, 500);
-            assert!(result.output.body.contains("division by zero"));
-        }
+        let mut b = NullBackend;
+        let result = run_request(&script, &mut b, &input).unwrap();
+        assert_eq!(result.output.status, 500);
+        assert!(result.output.body.contains("division by zero"));
     }
 
     #[test]
@@ -1400,8 +1346,7 @@ mod tests {
 
     #[test]
     fn register_windows_pool_across_calls() {
-        // Deep call chains + loops stress window reuse; both engines
-        // must still agree (checked inside run_both).
+        // Deep call chains + loops stress window reuse.
         let src = "function leaf($x) { $t = $x * 2; return $t; }
             function mid($x) { $acc = 0; for ($i = 0; $i < 3; $i++) { $acc += leaf($x + $i); } return $acc; }
             $sum = 0;

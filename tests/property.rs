@@ -902,104 +902,6 @@ fn object_name_conventions() {
     assert_eq!(ObjectName::db("main").as_str(), "db:main");
 }
 
-/// Differential harness for the two scalar PHP engines: an in-memory
-/// backend that records every state and nondeterminism call, so the
-/// register VM and the retained stack VM can be compared on outputs,
-/// replay digests, *and* the exact state-op sequence they issue.
-mod vm_diff {
-    use orochi::php::backend::{BackendError, DbResult, NondetProvider, StateBackend};
-    use std::collections::HashMap;
-
-    #[derive(Default)]
-    pub struct RecordingBackend {
-        regs: HashMap<String, Vec<u8>>,
-        kv: HashMap<String, Vec<u8>>,
-        /// Every backend call, in issue order.
-        pub ops: Vec<String>,
-        ticks: i64,
-    }
-
-    impl StateBackend for RecordingBackend {
-        fn register_read(&mut self, object: &str) -> Result<Option<Vec<u8>>, BackendError> {
-            self.ops.push(format!("reg_read {object}"));
-            Ok(self.regs.get(object).cloned())
-        }
-        fn register_write(&mut self, object: &str, value: Vec<u8>) -> Result<(), BackendError> {
-            self.ops.push(format!("reg_write {object} {value:?}"));
-            self.regs.insert(object.to_string(), value);
-            Ok(())
-        }
-        fn kv_get(&mut self, object: &str, key: &str) -> Result<Option<Vec<u8>>, BackendError> {
-            self.ops.push(format!("kv_get {object} {key}"));
-            Ok(self.kv.get(&format!("{object}\u{0}{key}")).cloned())
-        }
-        fn kv_set(
-            &mut self,
-            object: &str,
-            key: &str,
-            value: Option<Vec<u8>>,
-        ) -> Result<(), BackendError> {
-            self.ops.push(format!("kv_set {object} {key} {value:?}"));
-            let slot = format!("{object}\u{0}{key}");
-            match value {
-                Some(v) => {
-                    self.kv.insert(slot, v);
-                }
-                None => {
-                    self.kv.remove(&slot);
-                }
-            }
-            Ok(())
-        }
-        fn db_begin(&mut self, _object: &str) -> Result<(), BackendError> {
-            self.ops.push("db_begin".into());
-            Err(BackendError::Fatal("no db in fuzz backend".into()))
-        }
-        fn db_query(&mut self, _object: &str, sql: &str) -> Result<DbResult, BackendError> {
-            self.ops.push(format!("db_query {sql}"));
-            Err(BackendError::Fatal("no db in fuzz backend".into()))
-        }
-        fn db_commit(&mut self, _object: &str) -> Result<bool, BackendError> {
-            self.ops.push("db_commit".into());
-            Err(BackendError::Fatal("no db in fuzz backend".into()))
-        }
-        fn db_rollback(&mut self, _object: &str) -> Result<(), BackendError> {
-            self.ops.push("db_rollback".into());
-            Err(BackendError::Fatal("no db in fuzz backend".into()))
-        }
-        fn in_txn(&self) -> bool {
-            false
-        }
-    }
-
-    impl NondetProvider for RecordingBackend {
-        fn time(&mut self) -> Result<i64, BackendError> {
-            self.ticks += 1;
-            self.ops.push(format!("time {}", self.ticks));
-            Ok(1_500_000_000 + self.ticks)
-        }
-        fn microtime(&mut self) -> Result<f64, BackendError> {
-            self.ticks += 1;
-            self.ops.push(format!("microtime {}", self.ticks));
-            Ok(self.ticks as f64 * 0.125)
-        }
-        fn getpid(&mut self) -> Result<i64, BackendError> {
-            self.ops.push("getpid".into());
-            Ok(1234)
-        }
-        fn mt_rand(&mut self) -> Result<i64, BackendError> {
-            self.ticks += 1;
-            self.ops.push(format!("mt_rand {}", self.ticks));
-            Ok(self.ticks.wrapping_mul(2654435761) & 0x7fff_ffff)
-        }
-        fn uniqid(&mut self) -> Result<String, BackendError> {
-            self.ticks += 1;
-            self.ops.push(format!("uniqid {}", self.ticks));
-            Ok(format!("uid{:08x}", self.ticks))
-        }
-    }
-}
-
 /// Random expressions over the fuzz script's variable pool.
 fn php_expr_strategy() -> impl Strategy<Value = String> {
     let leaf = prop_oneof![
@@ -1023,12 +925,11 @@ fn php_expr_strategy() -> impl Strategy<Value = String> {
 
 /// Random statements: scalar and array assignments, control flow,
 /// key-value and nondeterminism builtins, and user-function calls — the
-/// surface where the two bytecode engines could plausibly diverge.
+/// surface where the grouped and the scalar VM could plausibly diverge.
 ///
 /// `depth` indexes the loop counter (`$i1`, `$i2`, ...) so nested loops
 /// never share one: a shared counter can ping-pong forever, and a
-/// runaway script dies on the step limit at an ISA-dependent branch
-/// ordinal — a digest divergence by design, not a bug.
+/// runaway script only exercises the step limit.
 fn php_stmt_strategy(depth: u32) -> BoxedStrategy<String> {
     let var = || prop_oneof![Just("$a"), Just("$b"), Just("$c"), Just("$d")];
     let e = php_expr_strategy;
@@ -1064,62 +965,65 @@ fn php_stmt_strategy(depth: u32) -> BoxedStrategy<String> {
     .boxed()
 }
 
+/// Wraps fuzzed statements into a complete script: a user function, a
+/// fixed variable pool, and a closing dump of every variable.
+fn fuzz_script_source(stmts: &[String]) -> String {
+    format!(
+        "<?php\n\
+         function fuzz_join($x, $y) {{\n\
+             return strval($x) . '|' . strval($y);\n\
+         }}\n\
+         $a = 1; $b = 'x'; $c = 0; $d = 2; $arr = array();\n\
+         {}\n\
+         echo '|' . strval($a) . '|' . strval($b) . '|' . strval($c) . '|' . strval($d);\n\
+         foreach ($arr as $k => $v) {{ echo $k . '=' . strval($v) . ';'; }}\n",
+        stmts.join("\n"),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The register-bytecode VM is observationally identical to the
-    /// retained stack VM on fuzzed scripts: same verdict, same response
-    /// (status, headers, body), same replay digest, and the same state-
-    /// and nondet-op sequence against the backend. Instruction counts
-    /// are *not* compared — the ISAs cost the same program differently
-    /// by design.
+    /// The grouped multivalue VM is observationally identical to the
+    /// scalar VM on fuzzed scripts. Each script is served to requests
+    /// that share one `p` (univalent groups) and requests with distinct
+    /// `p`s (multivalent groups), then audited twice: grouped, and with
+    /// every request forced through the scalar VM (one lane). The server
+    /// records with the scalar VM, so each acceptance means the auditing
+    /// VM reproduced every output, state op, and control-flow digest.
     #[test]
-    fn register_vm_matches_stack_oracle_on_fuzzed_scripts(
+    fn grouped_vm_matches_scalar_oracle_on_fuzzed_scripts(
         stmts in proptest::collection::vec(php_stmt_strategy(2), 0..10),
-        p in "[a-z0-9]{0,6}",
+        shared in "[a-z0-9]{0,6}",
+        distinct in proptest::collection::vec("[a-z0-9]{0,6}", 1..4),
     ) {
-        use orochi::php::vm::{self, RequestInput};
-        use orochi::php::{compile, parse_script};
+        use orochi::apps::AppDefinition;
+        use orochi::harness::driver::{run_audit, serve, AppWorkload, ServeOptions};
+        use orochi::workload::Workload;
 
-        let src = format!(
-            "<?php\n\
-             function fuzz_join($x, $y) {{\n\
-                 return strval($x) . '|' . strval($y);\n\
-             }}\n\
-             $a = 1; $b = 'x'; $c = 0; $d = 2; $arr = array();\n\
-             {}\n\
-             echo '|' . strval($a) . '|' . strval($b) . '|' . strval($c) . '|' . strval($d);\n\
-             foreach ($arr as $k => $v) {{ echo $k . '=' . strval($v) . ';'; }}\n",
-            stmts.join("\n"),
-        );
-        let parsed = parse_script(&src).unwrap_or_else(|e| panic!("fuzz script parse: {e}\n{src}"));
-        let script = compile("/fuzz.php", &parsed)
-            .unwrap_or_else(|e| panic!("fuzz script compile: {e}\n{src}"));
-        let input = RequestInput {
-            method: "GET".into(),
-            path: "/fuzz.php".into(),
-            get: vec![("p".into(), p)],
-            ..Default::default()
+        let src = fuzz_script_source(&stmts);
+        let ps = [shared.as_str(); 3].into_iter().chain(distinct.iter().map(String::as_str));
+        let work = AppWorkload {
+            app: AppDefinition {
+                name: "fuzz",
+                scripts: vec![("/fuzz.php".to_string(), src.clone())],
+                schema: Vec::new(),
+            },
+            workload: Workload {
+                setup: Vec::new(),
+                requests: ps.map(|p| HttpRequest::get("/fuzz.php", &[("p", p)])).collect(),
+            },
+            seed_sql: Vec::new(),
         };
-        let mut reg_backend = vm_diff::RecordingBackend::default();
-        let reg = vm::run_request(&script, &mut reg_backend, &input);
-        let mut stack_backend = vm_diff::RecordingBackend::default();
-        let stack = vm::stack::run_request(&script, &mut stack_backend, &input);
-        match (&reg, &stack) {
-            (Ok(r), Ok(s)) => {
-                prop_assert_eq!(&r.output, &s.output, "outputs diverged\n{}", src);
-                prop_assert_eq!(r.digest, s.digest, "digests diverged\n{}", src);
-            }
-            (Err(r), Err(s)) => prop_assert_eq!(r, s, "rejections diverged\n{}", src),
-            (r, s) => prop_assert!(
-                false,
-                "verdicts diverged: register {:?} vs stack {:?}\n{}",
-                r.as_ref().map(|_| "ok").map_err(|e| e.clone()),
-                s.as_ref().map(|_| "ok").map_err(|e| e.clone()),
-                src,
-            ),
-        }
-        prop_assert_eq!(&reg_backend.ops, &stack_backend.ops, "state ops diverged\n{}", src);
+        let served = serve(&work, &ServeOptions { threads: 1, ..Default::default() });
+        let grouped = run_audit(&served.bundle, &work, true, true)
+            .map(|r| r.outcome.stats.requests_reexecuted)
+            .map_err(|r| r.to_string());
+        let scalar = run_audit(&served.bundle, &work, false, true)
+            .map(|r| r.outcome.stats.requests_reexecuted)
+            .map_err(|r| r.to_string());
+        prop_assert!(grouped.is_ok(), "grouped audit rejected: {:?}\n{}", grouped, src);
+        prop_assert_eq!(&grouped, &scalar, "grouped and scalar audits diverged\n{}", src);
     }
 }
 
@@ -1128,17 +1032,16 @@ proptest! {
 
     /// Whole-audit differential over the evaluation applications: a
     /// served workload from any of the four apps audits to the same
-    /// verdict under the register engine and the stack baseline, at one
-    /// audit thread and pooled. Acceptance is the strong check — the
-    /// server records with the register VM, so the stack group VM must
+    /// verdict grouped and scalar (every request on its own lane), at
+    /// one audit thread and pooled. Acceptance is the strong check — the
+    /// server records with the scalar VM, so the grouped VM must
     /// reproduce the recorded outputs, state ops, and control-flow
-    /// digests exactly (and vice versa) for the audit to pass.
+    /// digests exactly for the audit to pass.
     #[test]
-    fn app_workloads_audit_identically_under_both_engines(
+    fn app_workloads_audit_identically_grouped_and_scalar(
         app_idx in 0usize..4,
         seed in 0u64..64,
     ) {
-        use orochi::accphp::VmEngine;
         use orochi::harness::driver::{
             run_audit_with, serve, AppWorkload, AuditOptions, ServeOptions,
         };
@@ -1169,26 +1072,25 @@ proptest! {
         let served = serve(&work, &ServeOptions { seed, ..Default::default() });
         for threads in [1usize, 4] {
             let mut runs = Vec::new();
-            for engine in [VmEngine::Register, VmEngine::Stack] {
+            for grouped in [true, false] {
                 let opts = AuditOptions {
-                    grouped: true,
+                    grouped,
                     dedup: true,
                     threads,
-                    engine,
                 };
                 let run = run_audit_with(&served.bundle, &work, &opts)
                     .map(|r| r.outcome.stats.requests_reexecuted)
                     .map_err(|r| r.to_string());
-                runs.push((engine, run));
+                runs.push(run);
             }
             prop_assert_eq!(
-                &runs[0].1, &runs[1].1,
-                "engines diverged at {} threads (app {})", threads, app_idx
+                &runs[0], &runs[1],
+                "grouped and scalar diverged at {} threads (app {})", threads, app_idx
             );
             prop_assert!(
-                runs[0].1.is_ok(),
+                runs[0].is_ok(),
                 "honest run rejected at {} threads (app {}): {:?}",
-                threads, app_idx, runs[0].1
+                threads, app_idx, runs[0]
             );
         }
     }
