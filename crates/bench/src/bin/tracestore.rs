@@ -9,7 +9,9 @@
 //! `--bench-json <path>`, `--store-dir <dir>`, `--segment-bytes <n>`,
 //! `--audit-threads <n|auto>`, …).
 //!
-//! The row carries three guards CI enforces:
+//! `seal_events_per_s` (trace events over the spill wall) is emitted
+//! for the trajectory only; no guard reads it. The row carries three
+//! guards CI enforces:
 //!
 //! * `bytes_per_event < 24` — the columnar dictionary encoding must
 //!   keep the store below 24 bytes per trace event;
@@ -91,6 +93,7 @@ fn main() {
     let segment_cap = segment_budget + 64 * 1024;
     let segment_bounded = summary.max_segment_bytes <= segment_cap;
     let bytes_per_event = summary.segment_bytes as f64 / events.max(1) as f64;
+    let seal_events_per_s = events as f64 / spill_wall.as_secs_f64().max(1e-9);
 
     println!("== tracestore: spill + cold replay (events={events}, threads={threads}) ==");
     println!("{:<22} {:>12}", "segments", summary.segments);
@@ -106,6 +109,7 @@ fn main() {
         "spill wall",
         spill_wall.as_secs_f64() * 1000.0
     );
+    println!("{:<22} {:>9.0}", "seal events/s", seal_events_per_s);
     println!(
         "{:<22} {:>9.3}ms",
         "audit (RAM)",
@@ -132,6 +136,7 @@ fn main() {
             ("segment_cap_bytes", Json::from(segment_cap)),
             ("segment_bounded", Json::Bool(segment_bounded)),
             ("spill_wall_s", Json::Num(spill_wall.as_secs_f64())),
+            ("seal_events_per_s", Json::Num(seal_events_per_s)),
             ("ram_audit_wall_s", Json::Num(ram_wall.as_secs_f64())),
             ("cold_audit_wall_s", Json::Num(cold_wall.as_secs_f64())),
             ("audit_threads", Json::from(threads)),

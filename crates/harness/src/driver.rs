@@ -571,9 +571,7 @@ pub fn serve_and_audit(
     };
     let mut feeding = true;
     for epoch in bundle.trace.events.chunks(budget) {
-        for event in epoch {
-            writer.append(event.clone()).map_err(io_err)?;
-        }
+        writer.append_events(epoch).map_err(io_err)?;
         // Seal the epoch: durable on disk and stamped on the lag clock
         // before the verifier touches it.
         writer.seal().map_err(io_err)?;

@@ -56,6 +56,10 @@ impl<'a> Matcher<'a> {
     }
 
     /// Longest earlier occurrence of the bytes at `i`, as (len, dist).
+    /// The nearest candidate wins ties. A candidate is compared in full
+    /// only if it agrees with the input at offset `best_len`, which any
+    /// candidate that beats the best match must; the walk stops once a
+    /// match reaches the end of the input, since none can be longer.
     fn longest(&self, i: usize) -> (usize, usize) {
         let input = self.input;
         let max = input.len() - i;
@@ -64,19 +68,40 @@ impl<'a> Matcher<'a> {
         let mut steps = 0;
         while cand != u32::MAX && steps < MAX_CHAIN {
             let c = cand as usize;
-            let mut l = 0;
-            while l < max && input[c + l] == input[i + l] {
-                l += 1;
-            }
-            if l > best_len {
-                best_len = l;
-                best_dist = i - c;
+            if input[c + best_len] == input[i + best_len] {
+                let l = common_prefix(input, c, i, max);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - c;
+                    if best_len == max {
+                        break;
+                    }
+                }
             }
             cand = self.prev[c];
             steps += 1;
         }
         (best_len, best_dist)
     }
+}
+
+/// Length of the common prefix of `input[a..]` and `input[b..]`, at
+/// most `max` bytes, compared a word at a time: the lowest set bit of
+/// the XOR of two little-endian words marks the first differing byte.
+fn common_prefix(input: &[u8], a: usize, b: usize, max: usize) -> usize {
+    let word = |at: usize| u64::from_le_bytes(input[at..at + 8].try_into().unwrap());
+    let mut l = 0;
+    while l + 8 <= max {
+        let diff = word(a + l) ^ word(b + l);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < max && input[a + l] == input[b + l] {
+        l += 1;
+    }
+    l
 }
 
 /// Compresses `input`; always succeeds (worst case a few bytes of
@@ -156,10 +181,14 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>, &'static str> {
             return Err(err);
         }
         let start = out.len() - dist;
-        for k in 0..match_len {
-            // Overlapping copies are legal and must go byte-by-byte.
-            let b = out[start + k];
-            out.push(b);
+        if dist >= match_len {
+            out.extend_from_within(start..start + match_len);
+        } else {
+            for k in 0..match_len {
+                // Overlapping copies are legal and must go byte-by-byte.
+                let b = out[start + k];
+                out.push(b);
+            }
         }
     }
     if !dec.is_done() || out.len() != out_len {
@@ -171,6 +200,7 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>, &'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orochi_common::hash::fnv1a;
 
     fn roundtrip(data: &[u8]) {
         let packed = compress(data);
@@ -225,6 +255,93 @@ mod tests {
         // Period-1 and period-3 repetitions force overlapping copies.
         let data = [b"x".repeat(100), b"abc".repeat(40)].concat();
         roundtrip(&data);
+    }
+
+    /// A deterministic ~1 MiB corpus that reaches every matcher path:
+    /// templated HTML with point edits, period-1 and period-3 runs,
+    /// repeats followed by 0–15-byte tails (matches ending at every
+    /// offset within an 8-byte word), hash chains longer than
+    /// `MAX_CHAIN`, incompressible noise, and a final match that runs to
+    /// the end of the input.
+    fn golden_corpus() -> Vec<u8> {
+        let mut x = 0x243f6a8885a308d3u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut out = Vec::new();
+        // Templated pages, each with a few single-byte edits.
+        for i in 0..3400u64 {
+            let start = out.len();
+            out.extend_from_slice(
+                format!(
+                    "<html><head><title>item {i}</title></head><body>\
+                     <table><tr><td>name</td><td>widget-{}</td></tr>\
+                     <tr><td>price</td><td>{}.{:02}</td></tr>\
+                     <tr><td>stock</td><td>{}</td></tr></table>\
+                     <p>lorem ipsum dolor sit amet, consectetur adipiscing elit</p>\
+                     </body></html>\n",
+                    i % 97,
+                    next() % 1000,
+                    next() % 100,
+                    next() % 7,
+                )
+                .as_bytes(),
+            );
+            for _ in 0..(next() % 3) {
+                let at = start + (next() as usize) % (out.len() - start);
+                out[at] = b'a' + (next() % 26) as u8;
+            }
+        }
+        // Period-1 and period-3 runs of many lengths.
+        for len in (1..64).chain([255, 1000, 4097]) {
+            out.extend(std::iter::repeat_n(b'z', len));
+            out.push(b'|');
+            out.extend(b"k9#".iter().cycle().take(len));
+            out.push(b'|');
+        }
+        // A shared stem followed by 0-15 bytes of fresh tail.
+        let stem: Vec<u8> = (0..61).map(|_| b'A' + (next() % 26) as u8).collect();
+        for round in 0..4 {
+            for tail in 0..16 {
+                out.extend_from_slice(&stem[..40 + round * 7]);
+                out.extend((0..tail).map(|_| next() as u8));
+            }
+        }
+        // Hash chains longer than MAX_CHAIN: a unique string whose first
+        // four bytes then recur far more often than the chain budget
+        // before the string itself repeats.
+        let needle: Vec<u8> = (0..48).map(|_| next() as u8).collect();
+        out.extend_from_slice(&needle);
+        for _ in 0..3 * MAX_CHAIN {
+            out.extend_from_slice(&needle[..4]);
+            out.extend((0..5).map(|_| next() as u8));
+        }
+        out.extend_from_slice(&needle);
+        // Incompressible noise.
+        out.extend((0..160 * 1024).map(|_| next() as u8));
+        // End on a repeat of earlier text so the last match runs to the
+        // end of the input.
+        let tail = out[1000..1333].to_vec();
+        out.extend_from_slice(&tail);
+        out
+    }
+
+    /// Pins the compressed bytes: the match finder's choices (winner,
+    /// tie-break, lazy step, chain budget) decide every output byte, so
+    /// any change to them shows up here.
+    #[test]
+    fn compress_output_is_pinned() {
+        let corpus = golden_corpus();
+        let packed = compress(&corpus);
+        assert_eq!(decompress(&packed).unwrap(), corpus);
+        assert_eq!(
+            (corpus.len(), packed.len(), fnv1a(&packed)),
+            (1_041_252, 241_858, 0x6ddb_2c32_c04f_3cb9),
+            "compressed corpus drifted"
+        );
     }
 
     #[test]

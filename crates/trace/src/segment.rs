@@ -62,26 +62,26 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"OTS1";
 /// Current segment format version.
 pub const SEGMENT_VERSION: u8 = 1;
 
-/// Writer-side string dictionary: first-use interning to dense indices.
+/// Writer-side string dictionary: first-use interning to dense indices,
+/// borrowing every string from the events being encoded.
 #[derive(Default)]
-struct Dict {
-    index: HashMap<String, u64>,
-    strings: Vec<String>,
+struct Dict<'a> {
+    index: HashMap<&'a str, u64>,
+    strings: Vec<&'a str>,
 }
 
-impl Dict {
-    fn intern(&mut self, s: &str) -> u64 {
-        if let Some(&idx) = self.index.get(s) {
-            return idx;
+impl<'a> Dict<'a> {
+    fn intern(&mut self, s: &'a str) -> u64 {
+        let next = self.strings.len() as u64;
+        let idx = *self.index.entry(s).or_insert(next);
+        if idx == next {
+            self.strings.push(s);
         }
-        let idx = self.strings.len() as u64;
-        self.index.insert(s.to_string(), idx);
-        self.strings.push(s.to_string());
         idx
     }
 }
 
-fn encode_pairs(lane: &mut Encoder, dict: &mut Dict, pairs: &[(String, String)]) {
+fn encode_pairs<'a>(lane: &mut Encoder, dict: &mut Dict<'a>, pairs: &'a [(String, String)]) {
     lane.u64(pairs.len() as u64);
     for (k, v) in pairs {
         let k = dict.intern(k);

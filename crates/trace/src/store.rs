@@ -16,12 +16,16 @@
 //! encoded size; once the estimate crosses the configured segment
 //! budget the pending run is encoded ([`crate::segment::encode_segment`]),
 //! written to the next `seg-NNNNN.ots` file, and the buffer is reset.
-//! A sealed segment is never reopened or rewritten. [`TraceStoreWriter::finish`]
-//! seals the final partial segment and returns the store summary.
+//! [`TraceStoreWriter::append_events`] picks the same boundaries but
+//! encodes whole segments straight from the caller's slice, without
+//! copying them into the buffer. A sealed segment is never reopened or
+//! rewritten. [`TraceStoreWriter::finish`] seals the final partial
+//! segment and returns the store summary.
 //!
 //! [`TraceStoreReader`] validates every segment header at open time
 //! (magic, version, and that the file length matches the header's
-//! payload length — a torn tail fails here) and streams events by
+//! payload length — a torn tail fails here), reading only the header
+//! prefix of each file, and streams events by
 //! decoding one segment at a time, so the resident ingest buffer is
 //! bounded by the largest segment, not the trace length. Payload
 //! checksums are verified as each segment is decoded.
@@ -33,7 +37,7 @@ use orochi_common::codec::{Decoder, Encoder};
 use orochi_common::hash::fnv1a;
 use orochi_obs::{LazyCounter, LazyHistogram};
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 /// Segments sealed across all writers.
@@ -43,8 +47,9 @@ static EVENTS_TOTAL: LazyCounter = LazyCounter::new("tracestore_events_total");
 /// Encoded segment bytes written to disk (bytes/event = this over
 /// `tracestore_events_total`).
 static BYTES_TOTAL: LazyCounter = LazyCounter::new("tracestore_bytes_total");
-/// Wall time spent encoding (dictionary-compressing) a segment;
-/// clock-bearing, so only recorded when telemetry is enabled.
+/// Wall time spent sealing a segment: columnar encode, LZ compression
+/// and the file write; clock-bearing, so only recorded when telemetry
+/// is enabled.
 static COMPRESS_NS: LazyHistogram = LazyHistogram::new("tracestore_compress_ns");
 
 /// Default segment budget: 1 MiB of estimated encoded events.
@@ -163,9 +168,39 @@ impl TraceStoreWriter {
 
     /// Appends every event of `trace` in order.
     pub fn append_trace(&mut self, trace: &Trace) -> io::Result<()> {
-        for event in &trace.events {
+        self.append_events(&trace.events)
+    }
+
+    /// Appends `events` in order, sealing at exactly the boundaries
+    /// [`TraceStoreWriter::append`] would pick one event at a time.
+    /// Whole segments are encoded straight from the borrowed slice; only
+    /// events that top up an already-started segment and the trailing
+    /// partial segment are copied into the pending buffer.
+    pub fn append_events(&mut self, events: &[Event]) -> io::Result<()> {
+        let mut rest = events;
+        while !self.pending.is_empty() {
+            let Some((event, tail)) = rest.split_first() else {
+                return Ok(());
+            };
             self.append(event.clone())?;
+            rest = tail;
         }
+        if self.segment_budget > 0 {
+            loop {
+                let mut estimated = 0;
+                let Some(end) = rest.iter().position(|event| {
+                    estimated += estimate(event);
+                    estimated >= self.segment_budget
+                }) else {
+                    break;
+                };
+                let (segment, tail) = rest.split_at(end + 1);
+                self.write_segment(segment)?;
+                rest = tail;
+            }
+        }
+        self.pending_estimate = rest.iter().map(estimate).sum();
+        self.pending.extend_from_slice(rest);
         Ok(())
     }
 
@@ -175,26 +210,35 @@ impl TraceStoreWriter {
         if self.pending.is_empty() {
             return Ok(());
         }
+        let pending = std::mem::take(&mut self.pending);
+        let written = self.write_segment(&pending);
+        self.pending = pending;
+        written?;
+        self.pending.clear();
+        self.pending_estimate = 0;
+        Ok(())
+    }
+
+    /// Encodes `events` into the next segment file and accounts for it.
+    fn write_segment(&mut self, events: &[Event]) -> io::Result<()> {
         let span = self
             .lane
             .and_then(|l| orochi_obs::span_timed(l, "seal", COMPRESS_NS.get()));
-        let blob = encode_segment(&self.pending);
+        let blob = encode_segment(events);
         let path = self.dir.join(segment_file_name(self.seq));
         fs::write(&path, &blob)?;
         drop(span);
         SEAL_TOTAL.inc();
-        EVENTS_TOTAL.add(self.pending.len() as u64);
+        EVENTS_TOTAL.add(events.len() as u64);
         BYTES_TOTAL.add(blob.len() as u64);
         // Every sealed segment is an epoch boundary the streaming
         // audit can pick up, so the audit-lag clock restarts here —
         // not only at finish().
         orochi_obs::lag::mark_sealed();
         self.seq += 1;
-        self.events += self.pending.len() as u64;
+        self.events += events.len() as u64;
         self.segment_bytes += blob.len() as u64;
         self.max_segment_bytes = self.max_segment_bytes.max(blob.len());
-        self.pending.clear();
-        self.pending_estimate = 0;
         Ok(())
     }
 
@@ -274,17 +318,25 @@ impl TraceStoreReader {
         for name in &names {
             let path = dir.join(name);
             let label = path.display().to_string();
-            let bytes = fs::read(&path).map_err(|e| TraceStoreError::io(label.clone(), &e))?;
-            let header = read_header(&bytes, &label)?;
+            let io_err = |e: io::Error| TraceStoreError::io(label.clone(), &e);
+            // Only the header prefix is read; the file length comes from
+            // its metadata.
+            let mut file = fs::File::open(&path).map_err(io_err)?;
+            let file_len = file.metadata().map_err(io_err)?.len();
+            let mut prefix = Vec::with_capacity(MAX_HEADER_LEN);
+            (&mut file)
+                .take(MAX_HEADER_LEN as u64)
+                .read_to_end(&mut prefix)
+                .map_err(io_err)?;
+            let header = read_header(&prefix, &label)?;
             // The header is self-delimiting; everything after it must be
             // exactly the declared payload.
-            let header_len = header_len(&bytes);
-            if bytes.len() as u64 != header_len as u64 + header.payload_len {
+            if file_len != header_len(&prefix) as u64 + header.payload_len {
                 return Err(TraceStoreError::corrupt(label, "segment truncated"));
             }
             events += header.event_count;
-            segment_bytes += bytes.len() as u64;
-            max_segment_bytes = max_segment_bytes.max(bytes.len());
+            segment_bytes += file_len;
+            max_segment_bytes = max_segment_bytes.max(file_len as usize);
             segments.push((path, header.event_count));
         }
         Ok(TraceStoreReader {
@@ -347,6 +399,10 @@ impl TraceStoreReader {
         Ok(body)
     }
 }
+
+/// Upper bound on a segment header: magic, version and three varints
+/// of at most ten bytes each.
+const MAX_HEADER_LEN: usize = 4 + 1 + 3 * 10;
 
 /// Length of the self-delimiting segment header in `bytes` (magic +
 /// version + three varints). Assumes `read_header` already succeeded.
@@ -472,6 +528,41 @@ mod tests {
             .unwrap();
         assert_eq!(replayed, trace.events);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every segment file under `dir`, in order.
+    fn segment_files(dir: &Path) -> Vec<Vec<u8>> {
+        let reader = TraceStoreReader::open(dir).unwrap();
+        (0..reader.segment_count())
+            .map(|i| fs::read(dir.join(segment_file_name(i))).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn slice_appends_seal_where_single_appends_do() {
+        let trace = sample_trace(60);
+        let single = temp_dir("single");
+        let mut writer = TraceStoreWriter::create(&single, 300).unwrap();
+        for event in &trace.events {
+            writer.append(event.clone()).unwrap();
+        }
+        let expected = writer.finish().unwrap();
+        let want = segment_files(&single);
+        fs::remove_dir_all(&single).unwrap();
+        assert!(expected.segments > 3);
+        // Slices that start inside a pending segment, span whole
+        // segments, and end inside one; mixed with single appends.
+        for chunk in [1, 3, 7, 16, 50, 120] {
+            let dir = temp_dir("slices");
+            let mut writer = TraceStoreWriter::create(&dir, 300).unwrap();
+            writer.append(trace.events[0].clone()).unwrap();
+            for events in trace.events[1..].chunks(chunk) {
+                writer.append_events(events).unwrap();
+            }
+            assert_eq!(writer.finish().unwrap(), expected, "chunk {chunk}");
+            assert_eq!(segment_files(&dir), want, "chunk {chunk}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -11,15 +11,21 @@
 //!   property suite's statement generator at a fixed seed, each stored
 //!   verbatim with its `$_GET['p']`, expected response, digest, and the
 //!   exact state- and nondeterminism-op sequence it issues.
+//! * `golden/segments.txt` pins the sealed trace store: each app's
+//!   golden serve spilled at a 16 KiB segment budget, as the segment
+//!   count and the FNV-1a of every `seg-*.ots` file in order. Segment
+//!   boundaries, the columnar encoding and the LZ match finder all
+//!   decide those bytes.
 //!
 //! The corpus was captured while a second, independent bytecode engine
 //! (a stack interpreter) still existed, with both engines asserted equal
 //! on every entry; it now stands in for that engine as the reference.
 
-use orochi::harness::driver::{run_audit, serve, AppWorkload, ServeOptions};
+use orochi::harness::driver::{run_audit, serve, spill_bundle, AppWorkload, ServeOptions};
 use orochi::php::backend::{BackendError, DbResult, NondetProvider, StateBackend};
 use orochi::php::vm::{self, RequestInput};
 use orochi::php::{compile, parse_script};
+use orochi::server::server::AuditBundle;
 use orochi::trace::Event;
 use orochi::workload::{forum, hotcrp, shop, wiki};
 use orochi_common::hash::fnv1a;
@@ -56,9 +62,9 @@ fn app_workload(name: &str) -> AppWorkload {
     }
 }
 
-/// `(requests, distinct digests, hash)` of one single-worker serve.
-fn app_fingerprint(work: &AppWorkload) -> (usize, usize, u64) {
-    let served = serve(
+/// The single-worker serve every app golden is taken from.
+fn golden_serve(work: &AppWorkload) -> AuditBundle {
+    serve(
         work,
         &ServeOptions {
             threads: 1,
@@ -66,8 +72,13 @@ fn app_fingerprint(work: &AppWorkload) -> (usize, usize, u64) {
             recording: true,
             seed: APP_SEED,
         },
-    );
-    let bundle = &served.bundle;
+    )
+    .bundle
+}
+
+/// `(requests, distinct digests, hash)` of one single-worker serve.
+fn app_fingerprint(work: &AppWorkload) -> (usize, usize, u64) {
+    let bundle = &golden_serve(work);
     let digest_of: HashMap<_, _> = bundle
         .reports
         .groupings
@@ -125,6 +136,52 @@ fn app_serves_match_pinned_goldens() {
         checked += 1;
     }
     assert_eq!(checked, 4, "one golden per application");
+}
+
+/// Segment budget the store goldens were sealed at.
+const SEGMENT_BUDGET: usize = 16 * 1024;
+
+/// `<app> segments <n>` then `<app> <file> <fnv1a>` per segment, in
+/// file order, for one golden serve spilled at [`SEGMENT_BUDGET`].
+fn segment_fingerprint(name: &str) -> String {
+    let bundle = golden_serve(&app_workload(name));
+    let dir = std::env::temp_dir().join(format!(
+        "orochi-golden-segments-{name}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let summary = spill_bundle(&bundle, &dir, SEGMENT_BUDGET).expect("spill golden bundle");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|f| f.starts_with("seg-") && f.ends_with(".ots"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), summary.segments, "{name}: summary disagrees");
+    let mut out = format!("{name} segments {}\n", files.len());
+    for file in &files {
+        let bytes = std::fs::read(dir.join(file)).unwrap();
+        out.push_str(&format!("{name} {file} {:#018x}\n", fnv1a(&bytes)));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    out
+}
+
+#[test]
+fn sealed_segments_match_pinned_goldens() {
+    let golden: String = include_str!("golden/segments.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let got: String = ["wiki", "forum", "shop", "hotcrp"]
+        .into_iter()
+        .map(segment_fingerprint)
+        .collect();
+    assert!(
+        got == golden,
+        "sealed segment bytes drifted; this build seals:\n{got}"
+    );
 }
 
 /// An in-memory runtime backend that records every state and

@@ -4,6 +4,7 @@
 //!   time-precedence relation (Lemma 2), matching both the dense oracle
 //!   and `BalancedTrace::precedes`.
 //! * Wire codecs roundtrip for PHP values and report bundles.
+//! * The segment LZ codec roundtrips arbitrary and templated bytes.
 //! * The versioned KV equals the replay-prefix model at every position.
 //! * The versioned DB redo reproduces the online engine's state at every
 //!   transaction boundary.
@@ -252,6 +253,50 @@ proptest! {
     #[test]
     fn identical_is_reflexive(v in php_value_strategy()) {
         prop_assert!(v.identical(&v));
+    }
+}
+
+/// Arbitrary bytes of 0-4 KiB, drawn from an alphabet of 1-256 symbols
+/// so short alphabets produce matches of every length.
+fn lz_bytes_strategy() -> impl Strategy<Value = Vec<u8>> {
+    (proptest::collection::vec(any::<u8>(), 0..4097), 1u16..257)
+        .prop_map(|(bytes, alphabet)| bytes.iter().map(|&b| (b as u16 % alphabet) as u8).collect())
+}
+
+/// A random template repeated with random single-byte edits, cut at a
+/// random length: matches end inside and exactly at 8-byte words, and
+/// the last one often runs to the end of the input.
+fn lz_template_strategy() -> impl Strategy<Value = Vec<u8>> {
+    (
+        proptest::collection::vec(any::<u8>(), 1..96),
+        1usize..48,
+        proptest::collection::vec((any::<usize>(), any::<u8>()), 0..24),
+        any::<usize>(),
+    )
+        .prop_map(|(template, repeats, edits, cut)| {
+            let mut out = template.repeat(repeats);
+            for (at, b) in edits {
+                let at = at % out.len();
+                out[at] = b;
+            }
+            out.truncate(out.len() - cut % out.len().min(16));
+            out
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn lz_roundtrips_arbitrary_bytes(data in lz_bytes_strategy()) {
+        let packed = orochi::trace::lz::compress(&data);
+        prop_assert_eq!(orochi::trace::lz::decompress(&packed).unwrap(), data);
+    }
+
+    #[test]
+    fn lz_roundtrips_edited_templates(data in lz_template_strategy()) {
+        let packed = orochi::trace::lz::compress(&data);
+        prop_assert_eq!(orochi::trace::lz::decompress(&packed).unwrap(), data);
     }
 }
 
