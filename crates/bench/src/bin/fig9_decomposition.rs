@@ -65,6 +65,7 @@ fn json_doc(scale: f64, rows: &[Fig9Row], par: &[ParallelRow], threads: usize) -
                                     ("seq_wall_s", Json::Num(r.seq_wall.as_secs_f64())),
                                     ("par_wall_s", Json::Num(r.par_wall.as_secs_f64())),
                                     ("speedup", Json::Num(r.speedup())),
+                                    ("largest_group_share", Json::Num(r.largest_group_share)),
                                 ])
                             })
                             .collect(),

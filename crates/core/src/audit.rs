@@ -29,12 +29,18 @@
 //! exploits that: the prologue's store builds are sharded by object across
 //! a bounded pool of scoped threads, and the groups are then re-executed
 //! by the same pool, one [`AuditContext`] per worker over one shared
-//! [`AuditShared`]. Verdicts and failure diagnostics are byte-identical to
-//! the sequential path: group lists are fixed by a deterministic pre-pass,
-//! and when several groups fail concurrently the rejection reported is the
-//! one the sequential audit would have hit first (lowest group index).
-//! Only scheduling-dependent *performance counters* (the dedup-cache
-//! hit/miss split) may vary with the thread count.
+//! [`AuditShared`]. The pool's unit of work is a **piece**: [`plan_pieces`]
+//! cuts any group larger than its fair share of the requests into
+//! contiguous, in-order pieces, so one Zipf-head group cannot set the
+//! parallel wall. Every piece runs; failed groups are then confirmed in
+//! ascending group index by re-running the whole group on a fresh
+//! context, and the first confirmed rejection is the verdict — the one
+//! the sequential audit hits first. Verdicts and failure diagnostics are
+//! therefore byte-identical to the sequential path. Only
+//! scheduling-dependent *performance counters* (the dedup-cache hit/miss
+//! split, and the VM dispatch counts of split groups) may vary with the
+//! thread count. The streaming engine ([`crate::streaming`]) runs its
+//! epoch sub-groups through the same planner, pool, and confirmation.
 
 use crate::exec::{DbQueryResult, DbTxnHandle, GroupExecutor, SimResult};
 use crate::graph::{process_op_reports, process_op_reports_with, GraphRejection, OpMap};
@@ -48,8 +54,9 @@ use orochi_state::versioned_kv::VersionedKv;
 use orochi_trace::record::{BalanceError, BalancedTrace, RidInterner, Trace};
 use orochi_trace::{HttpRequest, HttpResponse, TraceReadError, TraceSource, TraceStoreError};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -303,7 +310,8 @@ impl AuditConfig {
 /// Counters and phase timings collected during an audit.
 #[derive(Debug, Default, Clone)]
 pub struct AuditStats {
-    /// Control-flow groups re-executed.
+    /// Control-flow groups re-executed: one per prepared group, however
+    /// the pool split it into pieces.
     pub groups_executed: usize,
     /// Requests re-executed (after duplicate filtering).
     pub requests_reexecuted: usize,
@@ -354,10 +362,9 @@ pub struct AuditStats {
 
 impl AuditStats {
     /// Folds one worker's per-context counters into an aggregate. Phase
-    /// timings, redo statistics, and byte counts are not per-worker; the
-    /// audit driver fills them in once at the end.
+    /// timings, redo statistics, byte counts, and the group count are not
+    /// per-worker; the audit driver fills them in once at the end.
     pub(crate) fn absorb(&mut self, other: &AuditStats) {
-        self.groups_executed += other.groups_executed;
         self.requests_reexecuted += other.requests_reexecuted;
         self.register_ops += other.register_ops;
         self.kv_ops += other.kv_ops;
@@ -1210,6 +1217,7 @@ impl AuditCarry {
 /// One control-flow group, filtered and resolved by the deterministic
 /// pre-pass: duplicate requests removed, every request known to the
 /// trace.
+#[derive(Clone)]
 pub(crate) struct PreparedGroup {
     pub(crate) tag: CtlFlowTag,
     pub(crate) requests: Vec<(RequestId, HttpRequest)>,
@@ -1252,23 +1260,23 @@ fn prepare_groups(
     (out, None)
 }
 
-/// Re-executes one prepared group and runs the per-group driver checks
-/// (executor protocol, Fig. 12 line 51 op counts, leftover
+/// Re-executes one group — or one piece of it — and runs the per-group
+/// driver checks (executor protocol, Fig. 12 line 51 op counts, leftover
 /// nondeterminism). Returns the produced outputs; error order within the
-/// group matches the sequential driver exactly.
+/// requests matches the sequential driver exactly.
 pub(crate) fn run_one_group(
     executor: &mut dyn GroupExecutor,
     ctx: &mut AuditContext<'_>,
-    group: &PreparedGroup,
+    tag: CtlFlowTag,
+    requests: &[(RequestId, HttpRequest)],
 ) -> Result<Vec<(RequestId, HttpResponse)>, Rejection> {
-    let outputs = executor.execute_group(&group.requests, ctx)?;
-    let group_set: HashSet<RequestId> = group.requests.iter().map(|(r, _)| *r).collect();
+    let outputs = executor.execute_group(requests, ctx)?;
+    let group_set: HashSet<RequestId> = requests.iter().map(|(r, _)| *r).collect();
     let mut seen: HashSet<RequestId> = HashSet::new();
     for (rid, _) in &outputs {
         if !group_set.contains(rid) {
             return Err(Rejection::ExecutorProtocol(format!(
-                "output for {rid} not in group {}",
-                group.tag
+                "output for {rid} not in group {tag}"
             )));
         }
         if !seen.insert(*rid) {
@@ -1277,12 +1285,192 @@ pub(crate) fn run_one_group(
             )));
         }
     }
-    for (rid, _) in &group.requests {
+    for (rid, _) in requests {
         ctx.finish_request(*rid)?;
     }
-    ctx.stats.groups_executed += 1;
-    ctx.stats.requests_reexecuted += group.requests.len();
+    ctx.stats.requests_reexecuted += requests.len();
     Ok(outputs)
+}
+
+/// How many pieces per worker thread the planner allows the total work
+/// to be cut into. A piece then holds at most `1/(4·threads)` of the
+/// requests, and Graham's bound for largest-first (LPT) list scheduling
+/// — makespan ≤ total/threads + largest piece — puts the pool within
+/// 1.25× of a perfect split. A fixed constant, not a knob: finer cuts
+/// buy little more balance and re-pay every univalent instruction per
+/// piece.
+const PIECES_PER_THREAD: usize = 4;
+
+/// Plans the pooled re-execution's work units over groups of `sizes`
+/// requests: a group larger than its fair share, `ceil(total/threads)`
+/// requests, is cut into contiguous, in-order pieces of at most
+/// `ceil(total/(4·threads))` requests (near-equal lengths); every other
+/// group stays one piece. Returns `(group index, member range)` in group
+/// order, pieces of one group ascending. With `threads <= 1` the fair
+/// share is the total, so every group is one piece.
+///
+/// The plan only moves scheduling: grouped re-execution of a piece runs
+/// the same checks on the same members as the whole group would.
+pub fn plan_pieces(sizes: &[usize], threads: usize) -> Vec<(usize, Range<usize>)> {
+    let threads = threads.max(1);
+    let total: usize = sizes.iter().sum();
+    let fair = total.div_ceil(threads);
+    let cap = total.div_ceil(PIECES_PER_THREAD * threads).max(1);
+    let mut plan = Vec::with_capacity(sizes.len());
+    for (g, &n) in sizes.iter().enumerate() {
+        if n <= fair {
+            plan.push((g, 0..n));
+            continue;
+        }
+        let k = n.div_ceil(cap);
+        plan.extend((0..k).map(|i| (g, i * n / k..(i + 1) * n / k)));
+    }
+    plan
+}
+
+/// One unit of pooled re-execution: a contiguous, in-order run of one
+/// group's members, borrowed from wherever the engine keeps them.
+pub(crate) struct Piece<'p> {
+    /// The group's index — the precedence key for rejections.
+    pub(crate) group: usize,
+    pub(crate) tag: CtlFlowTag,
+    pub(crate) requests: &'p [(RequestId, HttpRequest)],
+}
+
+impl<'p> Piece<'p> {
+    /// Resolves a [`plan_pieces`] entry against the groups it planned.
+    pub(crate) fn planned(groups: &'p [PreparedGroup], (g, range): (usize, Range<usize>)) -> Self {
+        let group = &groups[g];
+        Piece {
+            group: g,
+            tag: group.tag,
+            requests: &group.requests[range],
+        }
+    }
+}
+
+/// What one pass of the pool produced.
+#[derive(Default)]
+pub(crate) struct PoolRun {
+    /// Outputs of every piece that passed, in no particular order.
+    pub(crate) outputs: Vec<(RequestId, HttpResponse)>,
+    /// Indices of the groups a piece failed in, awaiting
+    /// [`confirm_failures`].
+    pub(crate) failed: BTreeSet<usize>,
+    /// Summed worker busy time.
+    pub(crate) busy: Duration,
+}
+
+impl PoolRun {
+    /// Files one piece's outcome: a passing piece's outputs, a failing
+    /// piece's group.
+    fn record(
+        &mut self,
+        piece: &Piece<'_>,
+        result: Result<Vec<(RequestId, HttpResponse)>, Rejection>,
+    ) {
+        match result {
+            Ok(outputs) => self.outputs.extend(outputs),
+            Err(_) => {
+                self.failed.insert(piece.group);
+            }
+        }
+    }
+
+    /// Folds another worker's run into this one.
+    fn merge(&mut self, other: PoolRun) {
+        self.outputs.extend(other.outputs);
+        self.failed.extend(other.failed);
+        self.busy += other.busy;
+    }
+}
+
+/// The group re-execution pool both engines share. Workers pull pieces
+/// off a shared cursor (dynamic load balancing), largest first (LPT),
+/// each through one [`AuditContext`] rebuilt from its carry in
+/// `carries` (one slot per executor) and torn back into it at the end.
+/// Every piece runs — a failure does not stop the pool — so the outcome
+/// is independent of schedule order. With one executor or one piece the
+/// pieces run in order on the calling thread and no threads spawn.
+pub(crate) fn execute_pieces<E: GroupExecutor + Send>(
+    shared: &Arc<AuditShared<'_>>,
+    pieces: &[Piece<'_>],
+    executors: &mut [E],
+    carries: &mut [AuditCarry],
+) -> PoolRun {
+    let group_ns = orochi_obs::registry::histogram("audit_group_ns");
+    if executors.len() == 1 || pieces.len() < 2 {
+        let t0 = Instant::now();
+        let lane = orochi_obs::enabled().then(|| orochi_obs::journal::lane("audit-worker-0"));
+        let carry = std::mem::take(&mut carries[0]);
+        let mut ctx = AuditContext::from_shared_with_carry(Arc::clone(shared), carry);
+        let mut run = PoolRun::default();
+        for piece in pieces {
+            let span = lane.and_then(|l| orochi_obs::span_timed(l, "group", group_ns));
+            let result = run_one_group(&mut executors[0], &mut ctx, piece.tag, piece.requests);
+            drop(span);
+            run.record(piece, result);
+        }
+        carries[0] = ctx.into_carry();
+        run.busy = t0.elapsed();
+        return run;
+    }
+    let mut schedule: Vec<usize> = (0..pieces.len()).collect();
+    schedule.sort_by_key(|&k| std::cmp::Reverse(pieces[k].requests.len()));
+    let cursor = AtomicUsize::new(0);
+    let merged: Mutex<PoolRun> = Mutex::new(PoolRun::default());
+    crossbeam::thread::scope(|s| {
+        for (w, (executor, carry)) in executors.iter_mut().zip(carries.iter_mut()).enumerate() {
+            let (cursor, merged, schedule) = (&cursor, &merged, &schedule);
+            s.spawn(move |_| {
+                let lane = orochi_obs::enabled()
+                    .then(|| orochi_obs::journal::lane(&format!("audit-worker-{w}")));
+                let worker_t0 = Instant::now();
+                let prior = std::mem::take(carry);
+                let mut ctx = AuditContext::from_shared_with_carry(Arc::clone(shared), prior);
+                let mut local = PoolRun::default();
+                loop {
+                    let next = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(&k) = schedule.get(next) else { break };
+                    let piece = &pieces[k];
+                    let span = lane.and_then(|l| orochi_obs::span_timed(l, "group", group_ns));
+                    let result = run_one_group(&mut *executor, &mut ctx, piece.tag, piece.requests);
+                    drop(span);
+                    local.record(piece, result);
+                }
+                *carry = ctx.into_carry();
+                local.busy = worker_t0.elapsed();
+                merged.lock().expect("pool results poisoned").merge(local);
+            });
+        }
+    })
+    .expect("audit worker pool");
+    merged.into_inner().expect("pool results poisoned")
+}
+
+/// The one confirmation rule both engines settle pool failures with.
+/// Each group in `failed`, in ascending index, is re-run whole — members
+/// from `whole_group` — on a fresh [`AuditContext`], which reproduces the
+/// sequential walk's member order (a piece may have tripped on a
+/// different member first). The first confirmed rejection is returned.
+/// A group that passes whole hands its outputs to `adopt`, superseding
+/// whatever its passing pieces produced.
+pub(crate) fn confirm_failures<'p>(
+    shared: &Arc<AuditShared<'_>>,
+    failed: impl IntoIterator<Item = usize>,
+    executor: &mut dyn GroupExecutor,
+    mut whole_group: impl FnMut(usize) -> Result<Cow<'p, PreparedGroup>, Rejection>,
+    mut adopt: impl FnMut(usize, Vec<(RequestId, HttpResponse)>) -> Result<(), Rejection>,
+) -> Result<(), Rejection> {
+    for g in failed {
+        let group = whole_group(g)?;
+        let mut ctx = AuditContext::from_shared(Arc::clone(shared));
+        adopt(
+            g,
+            run_one_group(executor, &mut ctx, group.tag, &group.requests)?,
+        )?;
+    }
+    Ok(())
 }
 
 /// Phase 5: the produced outputs must be exactly the responses in the
@@ -1308,12 +1496,16 @@ fn compare_outputs(
 /// and mirrors the phase walls and dispatch counters into the
 /// telemetry registry — the single write point, so fig9 consumers can
 /// read either the per-run `PhaseTimer` or the process-wide metrics
-/// and see the same accounting.
+/// and see the same accounting. `groups` is the prepared-group count:
+/// every engine reports one executed group per prepared group, however
+/// the pool cut them into pieces or the stream into sub-groups.
 pub(crate) fn assemble_outcome(
     shared: &AuditShared<'_>,
     mut stats: AuditStats,
     phases: PhaseTimer,
+    groups: usize,
 ) -> AuditOutcome {
+    stats.groups_executed = groups;
     stats.phases = phases;
     stats.graph_nodes = shared.graph_nodes;
     stats.graph_edges = shared.graph_edges;
@@ -1473,7 +1665,7 @@ fn reexec_sequential(
     let reexec_t0 = Instant::now();
     for group in prepared {
         let span = lane.and_then(|l| orochi_obs::span_timed(l, "group", group_ns));
-        let outputs = run_one_group(executor, &mut ctx, group)?;
+        let outputs = run_one_group(executor, &mut ctx, group.tag, &group.requests)?;
         drop(span);
         produced.extend(outputs);
     }
@@ -1494,14 +1686,7 @@ fn reexec_sequential(
     compare_outputs(balanced, &produced)?;
     phases.add("Output", output_check.elapsed());
 
-    Ok(assemble_outcome(shared, ctx.stats, phases))
-}
-
-/// What one re-execution worker hands back when it drains the queue.
-struct WorkerReport {
-    stats: AuditStats,
-    busy: Duration,
-    outputs: Vec<(RequestId, HttpResponse)>,
+    Ok(assemble_outcome(shared, ctx.stats, phases, prepared.len()))
 }
 
 /// Runs the full audit with group re-execution fanned out across
@@ -1509,15 +1694,15 @@ struct WorkerReport {
 /// [`AuditContext`] per worker over a single shared prologue).
 ///
 /// Verdicts and failure diagnostics are byte-identical to [`audit`]:
-/// groups are fixed up front by the same deterministic pre-pass, each
-/// group's internal check order is unchanged, and when several groups
-/// fail concurrently the rejection reported is the lowest-indexed one —
-/// the first the sequential walk would have hit. Scheduling only moves
-/// performance counters (the dedup hit/miss split).
+/// groups are fixed up front by the same deterministic pre-pass and cut
+/// into pieces by [`plan_pieces`]; every piece runs, and failed groups
+/// are confirmed whole in ascending group index, so the rejection
+/// reported is the first the sequential walk would have hit. Scheduling
+/// only moves performance counters (the dedup hit/miss split, and the
+/// dispatch counts of split groups).
 ///
-/// With a single executor — or fewer than two eligible groups — the
-/// sequential path runs directly and no threads are spawned, so tiny
-/// runs pay no pool overhead.
+/// With a single executor the sequential path runs directly and no
+/// threads are spawned.
 ///
 /// # Panics
 ///
@@ -1551,7 +1736,7 @@ pub fn audit_parallel_source<E: GroupExecutor + Send>(
     let mut phases = PhaseTimer::new();
     let (balanced, shared) = prologue(source, reports, config, threads, &mut phases)?;
     let (prepared, pre_error) = prepare_groups(&balanced, reports);
-    if threads == 1 || prepared.len() < 2 {
+    if threads == 1 {
         return reexec_sequential(
             &balanced,
             &shared,
@@ -1562,103 +1747,106 @@ pub fn audit_parallel_source<E: GroupExecutor + Send>(
         );
     }
 
-    // Phase 4, pooled: workers pull groups off a shared cursor (dynamic
-    // load balancing), largest group first (LPT) so a Zipf-head group
-    // started last can't serialize the tail. Schedule order is free to
-    // vary: group re-executions touch disjoint per-request state, and
-    // the reported rejection is selected by *group index*, not by
-    // schedule position.
-    let mut schedule: Vec<usize> = (0..prepared.len()).collect();
-    schedule.sort_by_key(|&g| std::cmp::Reverse(prepared[g].requests.len()));
-    let cursor = AtomicUsize::new(0);
-    // Lowest-indexed failing group so far: (group index, rejection).
-    let first_err: Mutex<Option<(usize, Rejection)>> = Mutex::new(None);
-    let reports_out: Mutex<Vec<WorkerReport>> = Mutex::new(Vec::with_capacity(threads));
-    crossbeam::thread::scope(|s| {
-        for (w, executor) in executors.iter_mut().enumerate() {
-            let cursor = &cursor;
-            let first_err = &first_err;
-            let reports_out = &reports_out;
-            let shared = &shared;
-            let prepared = &prepared;
-            let schedule = &schedule;
-            s.spawn(move |_| {
-                let lane = orochi_obs::enabled()
-                    .then(|| orochi_obs::journal::lane(&format!("audit-worker-{w}")));
-                let group_ns = orochi_obs::registry::histogram("audit_group_ns");
-                let worker_t0 = Instant::now();
-                let mut ctx = AuditContext::from_shared(Arc::clone(shared));
-                let mut outputs: Vec<(RequestId, HttpResponse)> = Vec::new();
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&g) = schedule.get(k) else { break };
-                    let group = &prepared[g];
-                    // A group after a known failure can never influence
-                    // the verdict (the sequential walk stops there);
-                    // skip it.
-                    let doomed = first_err
-                        .lock()
-                        .expect("error slot poisoned")
-                        .as_ref()
-                        .is_some_and(|(idx, _)| g > *idx);
-                    if doomed {
-                        continue;
-                    }
-                    let span = lane.and_then(|l| orochi_obs::span_timed(l, "group", group_ns));
-                    let result = run_one_group(&mut *executor, &mut ctx, group);
-                    drop(span);
-                    match result {
-                        Ok(outs) => outputs.extend(outs),
-                        Err(rejection) => {
-                            let mut slot = first_err.lock().expect("error slot poisoned");
-                            if slot.as_ref().is_none_or(|(idx, _)| g < *idx) {
-                                *slot = Some((g, rejection));
-                            }
-                        }
-                    }
-                }
-                reports_out
-                    .lock()
-                    .expect("report slot poisoned")
-                    .push(WorkerReport {
-                        stats: ctx.stats,
-                        busy: worker_t0.elapsed(),
-                        outputs,
-                    });
-            });
-        }
-    })
-    .expect("audit worker pool");
-
-    if let Some((_, rejection)) = first_err.into_inner().expect("error slot poisoned") {
-        return Err(rejection);
+    // Phase 4, pooled: pieces of the prepared groups across the pool,
+    // then the shared confirmation rule over the failed groups.
+    let sizes: Vec<usize> = prepared.iter().map(|g| g.requests.len()).collect();
+    let pieces: Vec<Piece<'_>> = plan_pieces(&sizes, threads)
+        .into_iter()
+        .map(|planned| Piece::planned(&prepared, planned))
+        .collect();
+    let mut carries: Vec<AuditCarry> = (0..threads).map(|_| AuditCarry::default()).collect();
+    let run = execute_pieces(&shared, &pieces, executors, &mut carries);
+    // Counter sums are order-independent, so the merged statistics are
+    // deterministic even though workers finish in arbitrary order.
+    let mut stats = AuditStats::default();
+    for carry in carries {
+        stats.absorb(&carry.stats);
     }
+    // Rids are disjoint across prepared groups and duplicate outputs
+    // within a piece were already rejected, so inserts cannot clash.
+    let mut produced: HashMap<RequestId, HttpResponse> = run.outputs.into_iter().collect();
+    confirm_failures(
+        &shared,
+        run.failed,
+        &mut executors[0],
+        |g| Ok(Cow::Borrowed(&prepared[g])),
+        |g, outputs| {
+            for (rid, _) in &prepared[g].requests {
+                produced.remove(rid);
+            }
+            produced.extend(outputs);
+            Ok(())
+        },
+    )?;
     if let Some(rejection) = pre_error {
         return Err(rejection);
     }
 
-    // Merge worker results. Counter sums are order-independent, so the
-    // merged statistics are deterministic even though workers finish in
-    // arbitrary order.
-    let mut stats = AuditStats::default();
-    let mut produced: HashMap<RequestId, HttpResponse> = HashMap::new();
-    let mut busy_total = Duration::ZERO;
-    for report in reports_out.into_inner().expect("report slot poisoned") {
-        stats.absorb(&report.stats);
-        busy_total += report.busy;
-        // Rids are disjoint across prepared groups and duplicate outputs
-        // within a group were already rejected, so inserts cannot clash.
-        produced.extend(report.outputs);
-    }
     // Phase rows keep Fig. 9's CPU-decomposition meaning: summed worker
     // busy time, not wall time. `absorb` already summed the per-worker
     // DB-query walls into `stats.db_query_wall`.
     phases.add("DB query", stats.db_query_wall);
-    phases.add("ReExec", busy_total.saturating_sub(stats.db_query_wall));
+    phases.add("ReExec", run.busy.saturating_sub(stats.db_query_wall));
 
     let output_check = Instant::now();
     compare_outputs(&balanced, &produced)?;
     phases.add("Output", output_check.elapsed());
 
-    Ok(assemble_outcome(&shared, stats, phases))
+    Ok(assemble_outcome(&shared, stats, phases, prepared.len()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::FnExecutor;
+    use orochi_trace::Event;
+
+    /// A trace of `n` state-free requests, each answered "ok".
+    fn stateless_trace(n: u64) -> Trace {
+        let mut events = Vec::new();
+        for r in 1..=n {
+            let rid = RequestId(r);
+            events.push(Event::Request(rid, HttpRequest::get("/x", &[])));
+            events.push(Event::Response(rid, HttpResponse::ok(rid, "ok")));
+        }
+        Trace { events }
+    }
+
+    #[test]
+    fn piece_rejection_defers_to_the_whole_group_run() {
+        // One eight-member group plus a singleton: at two threads the
+        // group exceeds its fair share (5 of 9) and is cut into pieces
+        // of at most ceil(9/8) = 2 members.
+        let trace = stateless_trace(9);
+        let mut reports = Reports::new();
+        reports
+            .groupings
+            .push((CtlFlowTag(1), (1..=8).map(RequestId).collect()));
+        reports.groupings.push((CtlFlowTag(2), vec![RequestId(9)]));
+        let planned = plan_pieces(&[8, 1], 2);
+        assert!(planned.iter().filter(|(g, _)| *g == 0).count() > 1);
+
+        // An executor that rejects any strict piece of the big group
+        // but passes it whole.
+        let make = || {
+            FnExecutor::new(
+                |requests: &[(RequestId, HttpRequest)], _ctx: &mut AuditContext<'_>| {
+                    if (2..8).contains(&requests.len()) {
+                        return Err(Rejection::ExecFailure("piece".into()));
+                    }
+                    Ok(requests
+                        .iter()
+                        .map(|(rid, _)| (*rid, HttpResponse::ok(*rid, "ok")))
+                        .collect())
+                },
+            )
+        };
+        let config = AuditConfig::new();
+        let sequential = audit(&trace, &reports, &mut make(), &config);
+        let mut pool = vec![make(), make()];
+        let pooled = audit_parallel(&trace, &reports, &mut pool, &config);
+        let (sequential, pooled) = (sequential.unwrap(), pooled.unwrap());
+        assert_eq!(sequential.stats.groups_executed, 2);
+        assert_eq!(pooled.stats.groups_executed, 2);
+    }
 }

@@ -14,7 +14,8 @@
 //!   moment the member re-executes);
 //! * a two-bit output verdict per request (none/match/mismatch), so the
 //!   phase-5 comparison never needs the response payloads again;
-//! * the per-worker dedup caches and counters ([`AuditContext`] carry).
+//! * the per-worker dedup caches and counters
+//!   ([`crate::audit::AuditContext`] carry).
 //!
 //! Event payloads are never retained beyond their epoch; the versioned
 //! stores are built once up front from the reports alone (they are
@@ -52,15 +53,18 @@
 //! verdict, because step 6 fires first.
 //!
 //! Each epoch executes the **sub-groups** of members whose responses
-//! arrived in that epoch (in within-group order), fanned across the
-//! worker pool like the batch parallel audit. The per-epoch carry size
-//! is published to the `audit_carry_bytes` gauge and every epoch bumps
-//! `audit_epochs_total` and records seal→verdict lag
-//! ([`orochi_obs::lag::mark_epoch`]).
+//! arrived in that epoch (in within-group order) through the batch
+//! audit's own planner and pool: [`plan_pieces`] cuts any sub-group
+//! larger than its fair share of the epoch into pieces, and every piece
+//! runs. Step 5's confirmation is the batch audit's confirmation rule
+//! (`confirm_failures`), fed whole groups re-read from the source.
+//! The per-epoch carry size is published to the `audit_carry_bytes`
+//! gauge and every epoch bumps `audit_epochs_total` and records
+//! seal→verdict lag ([`orochi_obs::lag::mark_epoch`]).
 
 use crate::audit::{
-    assemble_outcome, run_one_group, AuditCarry, AuditConfig, AuditContext, AuditOutcome,
-    AuditShared, AuditStats, PreparedGroup, Rejection,
+    assemble_outcome, confirm_failures, execute_pieces, plan_pieces, AuditCarry, AuditConfig,
+    AuditOutcome, AuditShared, AuditStats, Piece, PreparedGroup, Rejection,
 };
 use crate::exec::GroupExecutor;
 use crate::graph::{process_op_reports_interned, OpMap};
@@ -70,9 +74,9 @@ use orochi_common::metrics::PhaseTimer;
 use orochi_obs::LazyHistogram;
 use orochi_trace::record::{BalanceError, DenseEvent, RidInterner, StreamingBalance};
 use orochi_trace::{Event, HttpRequest, HttpResponse, TraceSource};
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Wall time per streaming epoch (ingest + incremental fill +
@@ -97,9 +101,8 @@ fn request_bytes(req: &HttpRequest) -> usize {
 struct SubGroup {
     /// Planned-group index.
     group: usize,
-    /// The batch [`PreparedGroup`] shape, so re-execution goes through
-    /// [`run_one_group`] unchanged.
-    prepared: PreparedGroup,
+    tag: CtlFlowTag,
+    requests: Vec<(RequestId, HttpRequest)>,
     /// Per member: dense index and the traced response to compare
     /// against.
     expected: Vec<(u32, HttpResponse)>,
@@ -143,10 +146,10 @@ pub struct StreamingAudit<'a> {
     out_state: Vec<u8>,
     /// One carry per worker slot, persisted across epochs.
     carries: Vec<AuditCarry>,
-    /// Failed planned groups: index -> first rejection recorded. Only
-    /// entries below the finish-time cut can reach the verdict, and
-    /// each is confirmed by a whole-group re-run first.
-    failed: BTreeMap<usize, Rejection>,
+    /// Failed planned groups. Only entries below the finish-time cut
+    /// can reach the verdict, and each is confirmed by a whole-group
+    /// re-run first.
+    failed: BTreeSet<usize>,
     phases: PhaseTimer,
     reexec_busy: Duration,
     epochs: u64,
@@ -232,7 +235,7 @@ impl<'a> StreamingAudit<'a> {
             pending_bytes: 0,
             out_state: Vec::new(),
             carries: Vec::new(),
-            failed: BTreeMap::new(),
+            failed: BTreeSet::new(),
             phases,
             reexec_busy: Duration::ZERO,
             epochs: 0,
@@ -371,7 +374,7 @@ impl<'a> StreamingAudit<'a> {
         for (idx, resp) in responses {
             let rid = interner.rid(idx);
             let &(g, pos) = self.member_of.get(&rid).expect("stashed members only");
-            if self.failed.contains_key(&(g as usize)) {
+            if self.failed.contains(&(g as usize)) {
                 // The group already failed; its later members never
                 // execute (their fate rides on the finish-time
                 // confirmation run). Release the payload now.
@@ -397,10 +400,8 @@ impl<'a> StreamingAudit<'a> {
             }
             subgroups.push(SubGroup {
                 group: g as usize,
-                prepared: PreparedGroup {
-                    tag: self.group_tags[g as usize],
-                    requests,
-                },
+                tag: self.group_tags[g as usize],
+                requests,
                 expected,
             });
         }
@@ -408,36 +409,38 @@ impl<'a> StreamingAudit<'a> {
             return;
         }
 
-        // ---- Re-execution, fanned out like the batch parallel audit.
-        let shared_owned = self.shared.take().expect("checked by caller");
-        let shared_arc = Arc::new(shared_owned);
-        let (results, busy) =
-            execute_subgroups(&shared_arc, &subgroups, executors, &mut self.carries);
-        self.reexec_busy += busy;
+        // ---- Re-execution: the batch planner and pool over this
+        // epoch's sub-groups.
+        let sizes: Vec<usize> = subgroups.iter().map(|sub| sub.requests.len()).collect();
+        let pieces: Vec<Piece<'_>> = plan_pieces(&sizes, executors.len())
+            .into_iter()
+            .map(|(k, range)| Piece {
+                group: subgroups[k].group,
+                tag: subgroups[k].tag,
+                requests: &subgroups[k].requests[range],
+            })
+            .collect();
+        let shared_arc = Arc::new(self.shared.take().expect("checked by caller"));
+        let run = execute_pieces(&shared_arc, &pieces, executors, &mut self.carries);
+        self.reexec_busy += run.busy;
         self.shared = Some(
             Arc::try_unwrap(shared_arc)
                 .ok()
                 .expect("worker contexts release the shared prologue"),
         );
 
-        for (sub, result) in subgroups.iter().zip(results) {
-            match result.expect("every sub-group is claimed exactly once") {
-                Ok(outputs) => {
-                    let produced: HashMap<RequestId, HttpResponse> = outputs.into_iter().collect();
-                    for (idx, expected_resp) in &sub.expected {
-                        let rid = interner.rid(*idx);
-                        if let Some(resp) = produced.get(&rid) {
-                            self.out_state[*idx as usize] = if resp == expected_resp {
-                                OUT_MATCH
-                            } else {
-                                OUT_MISMATCH
-                            };
-                        }
-                    }
-                }
-                Err(rejection) => {
-                    self.failed.entry(sub.group).or_insert(rejection);
-                }
+        // Outputs of a failed group's passing pieces are recorded too;
+        // they are superseded if the group's confirmation run passes,
+        // and unobservable if it rejects.
+        self.failed.extend(run.failed);
+        let produced: HashMap<RequestId, HttpResponse> = run.outputs.into_iter().collect();
+        for (idx, expected_resp) in subgroups.iter().flat_map(|sub| &sub.expected) {
+            if let Some(resp) = produced.get(&interner.rid(*idx)) {
+                self.out_state[*idx as usize] = if resp == expected_resp {
+                    OUT_MATCH
+                } else {
+                    OUT_MISMATCH
+                };
             }
         }
     }
@@ -490,41 +493,42 @@ impl<'a> StreamingAudit<'a> {
         if let Some(rejection) = self.deferred.take() {
             return Err(rejection);
         }
-        let mut shared = self.shared.take().expect("no deferred rejection");
+        let shared = Arc::new(self.shared.take().expect("no deferred rejection"));
 
         // 5./6. The grouping cut: replay the batch claiming walk with
         // the trace-membership check the optimistic plan skipped.
         let (cut_groups, pre_error) = self.grouping_cut(&interner);
 
         // 5. Confirm failed groups below the cut, lowest index first:
-        // re-execute the whole group against the final state, which
-        // reproduces the batch member order (a sub-group run may have
-        // tripped on a later member first).
+        // the batch confirmation rule, over whole groups re-read from
+        // the source.
         let failed = std::mem::take(&mut self.failed);
-        for (g, _) in failed.range(..cut_groups) {
-            let shared_arc = Arc::new(shared);
-            let confirmed = self.confirm_group(source, *g, &shared_arc, &mut executors[0]);
-            shared = Arc::try_unwrap(shared_arc)
-                .ok()
-                .expect("confirmation context released");
-            match confirmed? {
-                Err(rejection) => return Err(rejection),
-                Ok(outputs) => {
-                    // The whole-group run passed (the sub-group failure
-                    // did not reproduce); adopt its outputs so the
-                    // phase-5 walk sees the group as executed.
-                    for (rid, resp) in outputs {
-                        let idx = interner.index_of(rid).expect("pre-cut members in trace");
-                        self.out_state[idx as usize] =
-                            if source_response_matches(source, rid, &resp)? {
-                                OUT_MATCH
-                            } else {
-                                OUT_MISMATCH
-                            };
-                    }
+        let (group_tags, group_members) = (&self.group_tags, &self.group_members);
+        let out_state = &mut self.out_state;
+        confirm_failures(
+            &shared,
+            failed.range(..cut_groups).copied(),
+            &mut executors[0],
+            |g| whole_group(source, group_tags[g], &group_members[g]).map(Cow::Owned),
+            |g, outputs| {
+                // The whole-group run passed (the sub-group failure did
+                // not reproduce); adopt its outputs so the phase-5 walk
+                // sees the group as executed.
+                for rid in &group_members[g] {
+                    let idx = interner.index_of(*rid).expect("pre-cut members in trace");
+                    out_state[idx as usize] = OUT_NONE;
                 }
-            }
-        }
+                for (rid, resp) in outputs {
+                    let idx = interner.index_of(rid).expect("pre-cut members in trace");
+                    out_state[idx as usize] = if source_response_matches(source, rid, &resp)? {
+                        OUT_MATCH
+                    } else {
+                        OUT_MISMATCH
+                    };
+                }
+                Ok(())
+            },
+        )?;
         if let Some(rejection) = pre_error {
             return Err(rejection);
         }
@@ -549,16 +553,13 @@ impl<'a> StreamingAudit<'a> {
         for carry in &self.carries {
             stats.absorb(&carry.stats);
         }
-        // Sub-group execution bumped the group counter once per
-        // sub-group; the batch number is one per prepared group.
-        stats.groups_executed = cut_groups;
         let mut phases = self.phases;
         phases.add("DB query", stats.db_query_wall);
         phases.add(
             "ReExec",
             self.reexec_busy.saturating_sub(stats.db_query_wall),
         );
-        Ok(assemble_outcome(&shared, stats, phases))
+        Ok(assemble_outcome(&shared, stats, phases, cut_groups))
     }
 
     /// Replays the batch `prepare_groups` claiming walk over the final
@@ -588,49 +589,40 @@ impl<'a> StreamingAudit<'a> {
         }
         (groups, None)
     }
+}
 
-    /// Re-executes planned group `g` in full against the final shared
-    /// state, with payloads re-read from the source. The inner result
-    /// is the group's batch-exact outcome; the outer error is a
-    /// storage failure re-reading the trace.
-    fn confirm_group<'s>(
-        &mut self,
-        source: &dyn TraceSource,
-        g: usize,
-        shared: &Arc<AuditShared<'s>>,
-        executor: &mut dyn GroupExecutor,
-    ) -> Result<Result<Vec<(RequestId, HttpResponse)>, Rejection>, Rejection> {
-        let members = &self.group_members[g];
-        let want: HashSet<RequestId> = members.iter().copied().collect();
-        let mut payloads: HashMap<RequestId, HttpRequest> = HashMap::new();
-        source
-            .stream_events(&mut |event| {
-                if let Event::Request(rid, req) = event {
-                    if want.contains(&rid) {
-                        payloads.insert(rid, req);
-                    }
+/// Collects planned group `members`' payloads, re-read from `source`,
+/// for a whole-group confirmation run. The error is a storage failure
+/// re-reading the trace.
+fn whole_group(
+    source: &dyn TraceSource,
+    tag: CtlFlowTag,
+    members: &[RequestId],
+) -> Result<PreparedGroup, Rejection> {
+    let want: HashSet<RequestId> = members.iter().copied().collect();
+    let mut payloads: HashMap<RequestId, HttpRequest> = HashMap::new();
+    source
+        .stream_events(&mut |event| {
+            if let Event::Request(rid, req) = event {
+                if want.contains(&rid) {
+                    payloads.insert(rid, req);
                 }
-                payloads.len() < want.len()
+            }
+            payloads.len() < want.len()
+        })
+        .map_err(Rejection::TraceStore)?;
+    Ok(PreparedGroup {
+        tag,
+        requests: members
+            .iter()
+            .map(|rid| {
+                let req = payloads
+                    .remove(rid)
+                    .expect("pre-cut group members are in the trace");
+                (*rid, req)
             })
-            .map_err(Rejection::TraceStore)?;
-        let prepared = PreparedGroup {
-            tag: self.group_tags[g],
-            requests: members
-                .iter()
-                .map(|rid| {
-                    let req = payloads
-                        .remove(rid)
-                        .expect("pre-cut group members are in the trace");
-                    (*rid, req)
-                })
-                .collect(),
-        };
-        // A fresh context, like a batch worker's first group: the
-        // per-request cursors start clean and the dedup cache only
-        // moves performance counters.
-        let mut ctx = AuditContext::from_shared(Arc::clone(shared));
-        Ok(run_one_group(executor, &mut ctx, &prepared))
-    }
+            .collect(),
+    })
 }
 
 /// Looks up the traced response for `rid` and compares it against a
@@ -657,65 +649,6 @@ fn source_response_matches(
         })
         .map_err(Rejection::TraceStore)?;
     Ok(found && matches)
-}
-
-/// Runs this epoch's sub-groups across the worker pool: one
-/// [`AuditContext`] per worker, rebuilt from its carry, pulling
-/// sub-groups off a shared cursor. Returns per-sub-group results
-/// (indexed like `subgroups`) and the summed worker busy time.
-#[allow(clippy::type_complexity)]
-fn execute_subgroups<'s, E: GroupExecutor + Send>(
-    shared: &Arc<AuditShared<'s>>,
-    subgroups: &[SubGroup],
-    executors: &mut [E],
-    carries: &mut [AuditCarry],
-) -> (
-    Vec<Option<Result<Vec<(RequestId, HttpResponse)>, Rejection>>>,
-    Duration,
-) {
-    let mut results: Vec<Option<Result<Vec<(RequestId, HttpResponse)>, Rejection>>> =
-        (0..subgroups.len()).map(|_| None).collect();
-    if executors.len() == 1 || subgroups.len() < 2 {
-        let t0 = Instant::now();
-        let carry = std::mem::take(&mut carries[0]);
-        let mut ctx = AuditContext::from_shared_with_carry(Arc::clone(shared), carry);
-        for (k, sub) in subgroups.iter().enumerate() {
-            results[k] = Some(run_one_group(&mut executors[0], &mut ctx, &sub.prepared));
-        }
-        carries[0] = ctx.into_carry();
-        return (results, t0.elapsed());
-    }
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, Result<Vec<(RequestId, HttpResponse)>, Rejection>)>> =
-        Mutex::new(Vec::with_capacity(subgroups.len()));
-    let busy_total: Mutex<Duration> = Mutex::new(Duration::ZERO);
-    crossbeam::thread::scope(|s| {
-        for (executor, carry) in executors.iter_mut().zip(carries.iter_mut()) {
-            let cursor = &cursor;
-            let collected = &collected;
-            let busy_total = &busy_total;
-            s.spawn(move |_| {
-                let t0 = Instant::now();
-                let prior = std::mem::take(carry);
-                let mut ctx = AuditContext::from_shared_with_carry(Arc::clone(shared), prior);
-                let mut local = Vec::new();
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(sub) = subgroups.get(k) else { break };
-                    local.push((k, run_one_group(&mut *executor, &mut ctx, &sub.prepared)));
-                }
-                *carry = ctx.into_carry();
-                collected.lock().expect("results poisoned").extend(local);
-                *busy_total.lock().expect("busy poisoned") += t0.elapsed();
-            });
-        }
-    })
-    .expect("streaming audit worker pool");
-    for (k, result) in collected.into_inner().expect("results poisoned") {
-        results[k] = Some(result);
-    }
-    let busy = *busy_total.lock().expect("busy poisoned");
-    (results, busy)
 }
 
 /// The pull-based streaming audit: cuts `source` into epochs of at most

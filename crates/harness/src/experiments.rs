@@ -11,6 +11,7 @@ use crate::tamper;
 use orochi_accphp::AccPhpExecutor;
 use orochi_common::metrics::percentile;
 use orochi_core::audit::{audit, audit_parallel};
+use orochi_core::reports::Reports;
 use orochi_core::streaming::audit_streaming_source;
 use orochi_server::server::AuditBundle;
 use orochi_trace::{Event, TraceStoreReader};
@@ -529,6 +530,9 @@ pub struct ParallelRow {
     pub seq_wall: Duration,
     /// Parallel audit wall time.
     pub par_wall: Duration,
+    /// The largest prepared group's share of the re-executed requests —
+    /// the parallel wall's floor before the pool split oversized groups.
+    pub largest_group_share: f64,
 }
 
 impl ParallelRow {
@@ -536,6 +540,19 @@ impl ParallelRow {
     pub fn speedup(&self) -> f64 {
         self.seq_wall.as_secs_f64() / self.par_wall.as_secs_f64().max(1e-9)
     }
+}
+
+/// The largest prepared group's share of the grouped requests, by the
+/// audit pre-pass's claiming walk over `reports.groupings` (a request
+/// counts in the first group that names it).
+fn largest_group_share(reports: &Reports) -> f64 {
+    let mut claimed = HashSet::new();
+    let mut largest = 0usize;
+    for (_, rids) in &reports.groupings {
+        let fresh = rids.iter().filter(|rid| claimed.insert(**rid)).count();
+        largest = largest.max(fresh);
+    }
+    largest as f64 / claimed.len().max(1) as f64
 }
 
 /// Experiment E8: audit wall time, sequential vs `threads`-worker
@@ -572,6 +589,7 @@ pub fn parallel_speedup(scale: f64, seed: u64, threads: usize) -> Vec<ParallelRo
         let (s, p) = (&seq.outcome.stats, &par.outcome.stats);
         assert_eq!(
             (
+                s.groups_executed,
                 s.requests_reexecuted,
                 s.register_ops,
                 s.kv_ops,
@@ -579,6 +597,7 @@ pub fn parallel_speedup(scale: f64, seed: u64, threads: usize) -> Vec<ParallelRo
                 s.db_queries
             ),
             (
+                p.groups_executed,
                 p.requests_reexecuted,
                 p.register_ops,
                 p.kv_ops,
@@ -593,6 +612,7 @@ pub fn parallel_speedup(scale: f64, seed: u64, threads: usize) -> Vec<ParallelRo
             threads,
             seq_wall: seq.wall,
             par_wall: par.wall,
+            largest_group_share: largest_group_share(&served.bundle.reports),
         });
     }
     rows
@@ -601,18 +621,19 @@ pub fn parallel_speedup(scale: f64, seed: u64, threads: usize) -> Vec<ParallelRo
 /// Renders the parallel speedup rows.
 pub fn print_parallel(rows: &[ParallelRow]) {
     println!(
-        "{:<10} {:>8} {:>8} {:>10} {:>10} {:>8}",
-        "app", "requests", "threads", "seq", "par", "speedup"
+        "{:<10} {:>8} {:>8} {:>10} {:>10} {:>8} {:>14}",
+        "app", "requests", "threads", "seq", "par", "speedup", "largest group"
     );
     for r in rows {
         println!(
-            "{:<10} {:>8} {:>8} {:>9.3}s {:>9.3}s {:>7.2}x",
+            "{:<10} {:>8} {:>8} {:>9.3}s {:>9.3}s {:>7.2}x {:>13.1}%",
             r.app,
             r.requests,
             r.threads,
             r.seq_wall.as_secs_f64(),
             r.par_wall.as_secs_f64(),
             r.speedup(),
+            r.largest_group_share * 100.0,
         );
     }
 }
@@ -626,13 +647,21 @@ pub struct Fig11Summary {
     pub groups_gt1: usize,
     /// Distinct request URLs in the trace.
     pub unique_urls: usize,
-    /// Per-group `(n, α, ℓ)` triples (grouped executions).
+    /// Per-execution `(n, α, ℓ)` triples (grouped executions). Under a
+    /// pooled audit an execution is one piece of a group, so the
+    /// triples depend on the thread count (and are deterministic for a
+    /// given one).
     pub triples: Vec<(usize, f64, u64)>,
 }
 
 /// Experiment E5: control-flow group characteristics (Fig. 11).
-/// `threads` selects the audit worker pool (1 = sequential); the
-/// triples are scheduling-independent either way.
+/// `threads` selects the audit worker pool (1 = sequential). The
+/// triples are per executed piece: the pool cuts a group larger than
+/// its fair share of the requests into pieces ([`plan_pieces`]), so
+/// they are deterministic for a given thread count but differ between
+/// thread counts; `threads = 1` gives the paper's whole groups.
+///
+/// [`plan_pieces`]: orochi_core::audit::plan_pieces
 pub fn fig11_groups(scale: f64, seed: u64, threads: usize) -> Fig11Summary {
     let work = AppWorkload {
         app: orochi_apps::wiki::app(),

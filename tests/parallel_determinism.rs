@@ -9,9 +9,12 @@
 //! byte-identical. These tests pin that contract.
 
 use orochi::accphp::AccPhpExecutor;
-use orochi::core::audit::{audit, audit_parallel, AuditConfig, AuditOutcome, Rejection};
+use orochi::core::audit::{
+    audit, audit_parallel, plan_pieces, AuditConfig, AuditOutcome, Rejection,
+};
 use orochi::core::precedence::create_time_precedence_graph;
 use orochi::core::reports::Reports;
+use orochi::core::streaming::audit_streaming_source;
 use orochi::php::CompiledScript;
 use orochi::server::server::AuditBundle;
 use orochi::server::{Server, ServerConfig};
@@ -20,7 +23,7 @@ use orochi::trace::{Event, HttpRequest, Trace};
 use orochi_common::ids::RequestId;
 use std::collections::HashMap;
 
-const THREADS: &[usize] = &[1, 2, 8];
+const THREADS: &[usize] = &[1, 2, 3, 8];
 
 /// An honest HotCRP run: multi-statement transactions, sessions, and
 /// nondeterminism (the same shape the soundness battery uses).
@@ -364,4 +367,98 @@ fn tampered_wiki_body_rejects_identically() {
         }
     }
     assert_determinism("wiki-body", &bundle, &scripts, &config);
+}
+
+/// Appends a space to the first query of `rid`'s `nth` (0-based)
+/// database transaction — a tamper only re-execution can see.
+fn tamper_nth_txn(reports: &mut Reports, rid: RequestId, nth: usize) {
+    let i = db_log_index(reports);
+    let log = reports.op_logs.log_mut(i).unwrap();
+    let mut entries = log.entries().to_vec();
+    let entry = entries
+        .iter_mut()
+        .filter(|e| e.rid == rid && matches!(e.contents, OpContents::DbOp { .. }))
+        .nth(nth)
+        .expect("request has that many transactions");
+    if let OpContents::DbOp { queries, .. } = &mut entry.contents {
+        queries[0].push(' ');
+    }
+    *log = OpLog::from_entries(entries);
+}
+
+#[test]
+fn split_group_rejection_matches_the_whole_group_run() {
+    use orochi::workload::hotcrp;
+    let app = orochi::apps::hotcrp::app();
+    let scripts = app.compile().unwrap();
+    let server = Server::new(ServerConfig {
+        scripts: scripts.clone(),
+        initial_db: app.initial_db(),
+        recording: true,
+        seed: 5,
+        ..Default::default()
+    });
+    let workload = hotcrp::generate(&hotcrp::Params::scaled(0.03), 3);
+    for req in workload.setup.iter().chain(workload.requests.iter()) {
+        server.handle(req.clone());
+    }
+    let mut bundle = server.into_bundle();
+    let mut config = AuditConfig::new();
+    config
+        .initial_dbs
+        .insert("db:main".to_string(), app.initial_db());
+
+    // The paper-view group holds most of the requests, so every pooled
+    // thread count cuts it into pieces: its first member `a` and last
+    // member `b` then run in different pieces.
+    let sizes: Vec<usize> = bundle
+        .reports
+        .groupings
+        .iter()
+        .map(|(_, r)| r.len())
+        .collect();
+    let (big, _) = sizes.iter().enumerate().max_by_key(|(_, n)| **n).unwrap();
+    for &threads in &THREADS[1..] {
+        let pieces = plan_pieces(&sizes, threads);
+        assert!(
+            pieces.iter().filter(|(g, _)| *g == big).count() > 1,
+            "largest group not split at {threads} threads"
+        );
+    }
+    let members = &bundle.reports.groupings[big].1;
+    let (a, b) = (members[0], members[members.len() - 1]);
+    // `a` fails at its second transaction, `b` at its first. Lanes run
+    // in lockstep, so the whole group trips on `b` first, while the
+    // lowest piece — which holds `a` but not `b` — trips on `a`.
+    tamper_nth_txn(&mut bundle.reports, a, 1);
+    tamper_nth_txn(&mut bundle.reports, b, 0);
+    let mut seq_exec = AccPhpExecutor::new(scripts.clone());
+    let sequential = audit(&bundle.trace, &bundle.reports, &mut seq_exec, &config);
+    assert!(
+        matches!(sequential, Err(Rejection::DbQueryMismatch { rid, .. }) if rid == b),
+        "the whole-group walk must name the last member: {:?}",
+        sequential.as_ref().err()
+    );
+
+    assert_determinism("split-precedence", &bundle, &scripts, &config);
+    let sequential = sequential.unwrap_err().to_string();
+    for &threads in &THREADS[1..] {
+        for epoch_events in [0, 97] {
+            let mut executors: Vec<AccPhpExecutor> = (0..threads)
+                .map(|_| AccPhpExecutor::new(scripts.clone()))
+                .collect();
+            let streamed = audit_streaming_source(
+                &bundle.trace,
+                &bundle.reports,
+                &mut executors,
+                &config,
+                epoch_events,
+            );
+            assert_eq!(
+                streamed.err().map(|r| r.to_string()),
+                Some(sequential.clone()),
+                "streaming@{threads} (epochs of {epoch_events}) diverged"
+            );
+        }
+    }
 }

@@ -11,7 +11,10 @@
 //! * PHP arrays behave like an ordered-map reference model.
 //! * End-to-end completeness: honest random workloads always pass the
 //!   audit (the Completeness property of §2, fuzzed).
+//! * The audit pool's piece planner covers every group member exactly
+//!   once, in order, and cuts only groups above their fair share.
 
+use orochi::core::audit::plan_pieces;
 use orochi::core::graph::{process_op_reports, two_phase};
 use orochi::core::precedence::{create_time_precedence_graph, dense_time_precedence};
 use orochi::core::reports::Reports;
@@ -1137,6 +1140,54 @@ proptest! {
                 "honest run rejected at {} threads (app {}): {:?}",
                 threads, app_idx, runs[0]
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn piece_plan_covers_groups_in_order_within_the_cap(
+        tail in proptest::collection::vec(0usize..600, 0..16),
+        head in 0usize..5000,
+        at in any::<usize>(),
+        threads in 1usize..10,
+    ) {
+        // Zipf-shaped input: one head group anywhere among the tail.
+        let mut sizes = tail;
+        sizes.insert(at % (sizes.len() + 1), head);
+        let total: usize = sizes.iter().sum();
+        let fair = total.div_ceil(threads);
+        let cap = total.div_ceil(4 * threads).max(1);
+        let plan = plan_pieces(&sizes, threads);
+
+        // Grouped in group order, and within a group contiguous and in
+        // order from 0 to the group's size: every member exactly once.
+        let mut next = vec![0usize; sizes.len()];
+        let mut last_group = 0usize;
+        for (g, range) in &plan {
+            prop_assert!(*g >= last_group, "pieces out of group order: {:?}", plan);
+            last_group = *g;
+            prop_assert_eq!(range.start, next[*g], "gap or overlap in group {}", g);
+            next[*g] = range.end;
+        }
+        prop_assert_eq!(&next, &sizes, "members not covered exactly once");
+
+        for (g, &n) in sizes.iter().enumerate() {
+            let pieces: Vec<_> = plan.iter().filter(|(pg, _)| *pg == g).collect();
+            if threads == 1 || n <= fair {
+                prop_assert_eq!(pieces.len(), 1, "group {} of {} split at fair {}", g, n, fair);
+            } else {
+                prop_assert!(pieces.len() > 1, "oversized group {} of {} not split", g, n);
+                for (_, range) in pieces {
+                    prop_assert!(!range.is_empty() && range.len() <= cap, "piece {:?} over cap {}", range, cap);
+                }
+            }
+        }
+        if threads == 1 {
+            let identity: Vec<_> = sizes.iter().enumerate().map(|(g, &n)| (g, 0..n)).collect();
+            prop_assert_eq!(plan, identity);
         }
     }
 }
