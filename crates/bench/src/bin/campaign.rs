@@ -10,9 +10,10 @@
 //! `campaign` row of the CI `BENCH_ci.json` artifact.
 //!
 //! Usage: `cargo run --release -p orochi_bench --bin campaign [flags]`
-//! (the shared [`orochi_harness::Config`] flags apply: `--campaigns
-//! <n>`, `--campaign-k <k>`, `--campaign-seed <seed>`, `--full`,
-//! `--audit-threads <n|auto>`, `--bench-json <path>`, …).
+//! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
+//! variables apply: `--campaigns <n>`, `--campaign-k <k>`,
+//! `--campaign-seed <seed>`, `--full`, `--epoch-events <n>`,
+//! `--audit-threads <n|auto>`, `--bench-json <path>`, `--skew`, …).
 //!
 //! Sizing: the smoke run (CI default) audits 240 campaigns at CI
 //! scale; `--full` audits 1,000 at a larger serve — the mutant count,
@@ -21,13 +22,12 @@
 //! row carries the guards CI enforces: `catch_rate == 1.0`,
 //! `campaigns >= 200`, `distinct_operators >= 10`, and `honest_ok`.
 
-use orochi_bench::cli::apply_skew_args;
 use orochi_bench::json::Json;
-use orochi_harness::experiments::{campaign, print_campaign};
-use orochi_harness::Threads;
+use orochi_harness::experiments::{campaign, mixed_workload, print_campaign};
+use orochi_harness::{Config, Threads};
 
 fn main() {
-    let config = apply_skew_args("campaign", std::env::args().skip(1));
+    let config = Config::load("campaign");
     // An explicit --audit-threads is honored unclamped; auto resolves
     // to the hardware.
     let threads = match config.audit_threads {
@@ -53,8 +53,10 @@ fn main() {
     // clock-bearing layer would blur mutations-caught-per-CPU-second.
     orochi_obs::set_enabled(false);
 
+    let work = mixed_workload(scale, config.campaign_seed, &config.skew);
     let report = campaign(
-        scale,
+        &work,
+        &config.serve_options(),
         config.campaign_seed,
         campaigns,
         config.campaign_k,

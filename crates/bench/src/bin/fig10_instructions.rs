@@ -5,16 +5,19 @@
 //! pipeline tracks: an 8-lane univalent group on a call-heavy script
 //! against 8 scalar runs of the same request.
 //!
-//! Usage: `cargo run --release -p orochi_bench --bin fig10_instructions`
+//! Usage: `cargo run --release -p orochi_bench --bin fig10_instructions [flags]`
+//! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
+//! variables apply):
 //!
-//! * `OROCHI_BENCH_JSON=path` — also write the grouping gate and the
+//! * `--bench-json <path>` — also write the grouping gate and the
 //!   dispatch split as JSON for the `bench-smoke` CI artifact.
-//! * `OROCHI_FULL=1` — raise the iteration counts to full scale.
+//! * `--full` — raise the iteration counts to full scale.
 
 use orochi_bench::json::Json;
 use orochi_bench::{
     fig10_call_heavy_script, fig10_script, run_fig10_scalar, Fig10Group, FIG10_CATEGORIES,
 };
+use orochi_harness::Config;
 use std::time::Instant;
 
 const REPS: usize = 5;
@@ -37,9 +40,9 @@ fn wall_ns(mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let full =
-        matches!(std::env::var("OROCHI_FULL"), Ok(v) if v == "1" || v.eq_ignore_ascii_case("true"));
-    let iters = if full { 100_000 } else { 20_000 };
+    let config = Config::load("fig10_instructions");
+    orochi_obs::set_enabled(config.obs_enabled());
+    let iters = if config.full { 100_000 } else { 20_000 };
 
     println!("== Fig. 10: per-instruction cost (ns/op; {iters} ops/run) ==");
     println!(
@@ -109,7 +112,7 @@ fn main() {
         (n * (u + m)) as f64 / (u + n * m) as f64,
     );
 
-    if let Ok(path) = std::env::var("OROCHI_BENCH_JSON") {
+    if let Some(path) = &config.bench_json {
         let doc = Json::obj(vec![
             ("experiment", Json::str("fig10_instructions")),
             ("iters", Json::from(iters)),
@@ -120,7 +123,7 @@ fn main() {
             ("scalar_n_wall_s", Json::Num(scalar_ns / 1e9)),
             ("uni_group_speedup", Json::Num(scalar_ns / group_ns)),
         ]);
-        std::fs::write(&path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }
 }

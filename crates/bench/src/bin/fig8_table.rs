@@ -1,14 +1,15 @@
 //! Regenerates the Fig. 8 (left) main-results table.
 //!
-//! Usage: `cargo run --release -p orochi_bench --bin fig8_table
-//!         [--skew <theta[,len]>] [--session-len <len>]`
-//! (`OROCHI_FULL=1` for the paper's full request counts;
-//! `OROCHI_BENCH_JSON=path` to also write the rows as JSON for the CI
-//! artifact; the skew flags set `OROCHI_WORKLOAD_SKEW` for all four
-//! workload generators).
+//! Usage: `cargo run --release -p orochi_bench --bin fig8_table [flags]`
+//! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
+//! variables apply: `--full` for the paper's full request counts,
+//! `--bench-json <path>` to also write the rows as JSON for the CI
+//! artifact, `--skew` / `--session-len` for all four workload
+//! generators, `--serve-threads` / `--queue-depth` for the serve).
 
 use orochi_bench::json::Json;
-use orochi_harness::experiments::{fig8_table, print_fig8, scale_from_env, Fig8Row};
+use orochi_harness::experiments::{fig8_table, print_fig8, Fig8Row};
+use orochi_harness::Config;
 
 fn json_doc(scale: f64, rows: &[Fig8Row]) -> Json {
     Json::obj([
@@ -39,15 +40,16 @@ fn json_doc(scale: f64, rows: &[Fig8Row]) -> Json {
 }
 
 fn main() {
-    orochi_bench::cli::apply_skew_args("fig8_table", std::env::args().skip(1));
-    let scale = scale_from_env();
+    let config = Config::load("fig8_table");
+    orochi_obs::set_enabled(config.obs_enabled());
+    let scale = config.scale();
     println!("== Fig. 8 (left): main results (scale {scale}) ==");
-    let rows = fig8_table(scale, 42);
+    let rows = fig8_table(scale, 42, &config.skew, &config.serve_options());
     print_fig8(&rows);
 
-    if let Ok(path) = std::env::var("OROCHI_BENCH_JSON") {
+    if let Some(path) = &config.bench_json {
         let doc = json_doc(scale, &rows);
-        std::fs::write(&path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }
 }

@@ -2,22 +2,23 @@
 //! applications, plus the sequential-vs-parallel audit wall-time
 //! comparison the CI pipeline tracks.
 //!
-//! Usage: `cargo run --release -p orochi_bench --bin fig9_decomposition
-//!         [--skew <theta[,len]>] [--session-len <len>]`
+//! Usage: `cargo run --release -p orochi_bench --bin fig9_decomposition [flags]`
+//! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
+//! variables apply):
 //!
-//! * `OROCHI_AUDIT_THREADS` — worker threads for the parallel arm
+//! * `--audit-threads <n|auto>` — worker threads for the parallel arm
 //!   (default/`auto`: every available core, clamped to the machine).
-//! * `OROCHI_BENCH_JSON=path` — also write the results as JSON for the
+//! * `--bench-json <path>` — also write the results as JSON for the
 //!   `bench-smoke` CI artifact.
-//! * `--skew` / `--session-len` — set `OROCHI_WORKLOAD_SKEW` for all
-//!   four workload generators.
+//! * `--skew` / `--session-len` — the skew of all four workload
+//!   generators; `--full` the scale; `--serve-threads` /
+//!   `--queue-depth` the serve.
 
 use orochi_bench::json::Json;
-use orochi_harness::audit_threads_from_env;
 use orochi_harness::experiments::{
-    fig9_decomposition, parallel_speedup, print_fig9, print_parallel, scale_from_env, Fig9Row,
-    ParallelRow,
+    fig9_decomposition, parallel_speedup, print_fig9, print_parallel, Fig9Row, ParallelRow,
 };
+use orochi_harness::Config;
 
 fn json_doc(scale: f64, rows: &[Fig9Row], par: &[ParallelRow], threads: usize) -> Json {
     Json::obj([
@@ -77,20 +78,22 @@ fn json_doc(scale: f64, rows: &[Fig9Row], par: &[ParallelRow], threads: usize) -
 }
 
 fn main() {
-    orochi_bench::cli::apply_skew_args("fig9_decomposition", std::env::args().skip(1));
-    let scale = scale_from_env();
+    let config = Config::load("fig9_decomposition");
+    orochi_obs::set_enabled(config.obs_enabled());
+    let scale = config.scale();
+    let serve_opts = config.serve_options();
     println!("== Fig. 9: audit-time CPU decomposition (scale {scale}) ==");
-    let rows = fig9_decomposition(scale, 42);
+    let rows = fig9_decomposition(scale, 42, &config.skew, &serve_opts);
     print_fig9(&rows);
 
-    let threads = audit_threads_from_env();
+    let threads = config.resolved_audit_threads();
     println!("== Parallel audit: sequential vs {threads} worker threads ==");
-    let par = parallel_speedup(scale, 42, threads);
+    let par = parallel_speedup(scale, 42, &config.skew, &serve_opts, threads);
     print_parallel(&par);
 
-    if let Ok(path) = std::env::var("OROCHI_BENCH_JSON") {
+    if let Some(path) = &config.bench_json {
         let doc = json_doc(scale, &rows, &par, threads);
-        std::fs::write(&path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }
 }

@@ -3,10 +3,12 @@
 //! min-of-N, and emits the `obs` row of the CI `BENCH_ci.json`
 //! artifact (with `OROCHI_BENCH_JSON=path` or `--bench-json`).
 //!
-//! Usage: `cargo run --release -p orochi_bench --bin obs_overhead
-//! [flags]` (the shared [`orochi_harness::Config`] flags apply:
-//! `--full`, `--bench-json <path>`, `--obs-out <prefix>`,
+//! Usage: `cargo run --release -p orochi_bench --bin obs_overhead [flags]`
+//! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
+//! variables apply: `--full`, `--bench-json <path>`,
+//! `--obs-out <prefix>`, `--segment-bytes <n>`,
 //! `--audit-threads <n|auto>`, …).
+//! The bin switches telemetry itself, so `--obs` has no effect here.
 //!
 //! The row carries the telemetry layer's contract:
 //!
@@ -20,11 +22,11 @@
 //!   audit-phase metrics, and the trace-store counters reconcile
 //!   exactly with the spill summary — all asserted in-bin.
 
-use orochi_bench::cli::apply_skew_args;
 use orochi_bench::json::Json;
 use orochi_harness::experiments::shop_workload;
 use orochi_harness::{
-    export_obs, run_audit_cold, serve, spill_bundle, AppWorkload, AuditOptions, ServeOptions,
+    export_obs, run_audit_cold, serve, spill_bundle, AppWorkload, AuditOptions, Config,
+    ServeOptions,
 };
 use orochi_obs::{journal, registry};
 use orochi_trace::{TraceStoreReader, TraceStoreSummary, DEFAULT_SEGMENT_BYTES};
@@ -40,13 +42,14 @@ const REPS: usize = 3;
 /// segments. Returns the end-to-end wall and the spill summary.
 fn run_pipeline(
     work: &AppWorkload,
+    serve_opts: &ServeOptions,
     dir: &Path,
     segment_bytes: usize,
     threads: usize,
 ) -> (Duration, TraceStoreSummary) {
     let _ = std::fs::remove_dir_all(dir);
     let t0 = Instant::now();
-    let served = serve(work, &ServeOptions::default());
+    let served = serve(work, serve_opts);
     let summary = spill_bundle(&served.bundle, dir, segment_bytes).expect("spill");
     drop(served); // cold path: only the sealed segments remain
     let reader = TraceStoreReader::open(dir).expect("open store");
@@ -61,7 +64,7 @@ fn run_pipeline(
 }
 
 fn main() {
-    let config = apply_skew_args("obs_overhead", std::env::args().skip(1));
+    let config = Config::load("obs_overhead");
     // Small segments at smoke scale so the spill seals more than one
     // segment; an explicit --segment-bytes or OROCHI_SEGMENT_BYTES wins.
     let segment_bytes = if config.segment_bytes != DEFAULT_SEGMENT_BYTES {
@@ -72,7 +75,8 @@ fn main() {
         64 * 1024
     };
     let threads = config.resolved_audit_threads();
-    let work = shop_workload(config.scale(), 42);
+    let work = shop_workload(config.scale(), 42, &config.skew);
+    let serve_opts = config.serve_options();
     let dir = std::env::temp_dir().join(format!("orochi-bench-obs-{}", std::process::id()));
 
     let mut disabled_min = Duration::MAX;
@@ -82,7 +86,7 @@ fn main() {
     let mut lag_samples = 0u64;
     for _ in 0..REPS {
         orochi_obs::set_enabled(false);
-        let (wall, _) = run_pipeline(&work, &dir, segment_bytes, threads);
+        let (wall, _) = run_pipeline(&work, &serve_opts, &dir, segment_bytes, threads);
         disabled_min = disabled_min.min(wall);
 
         orochi_obs::set_enabled(true);
@@ -94,7 +98,7 @@ fn main() {
             .snapshot()
             .count;
         let lag0 = registry::histogram("audit_lag_ns").snapshot().count;
-        let (wall, summary) = run_pipeline(&work, &dir, segment_bytes, threads);
+        let (wall, summary) = run_pipeline(&work, &serve_opts, &dir, segment_bytes, threads);
         enabled_min = enabled_min.min(wall);
         events = summary.events;
         // The trace-store counters must reconcile exactly with what the

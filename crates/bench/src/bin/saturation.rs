@@ -8,21 +8,22 @@
 //! recording server must sustain production arrival rates before its
 //! audit-side numbers mean anything.
 //!
-//! Usage: `cargo run --release -p orochi_bench --bin saturation
-//!         [--skew <theta[,len]>] [--session-len <len>]
-//!         [--serve-threads <n|auto>] [--queue-depth <n>]`
+//! Usage: `cargo run --release -p orochi_bench --bin saturation [flags]`
+//! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
+//! variables apply):
 //!
-//! * `OROCHI_FULL=1` — full-scale sweep (longer request streams).
-//! * `OROCHI_SERVE_THREADS` — the pooled arm's worker count
+//! * `--full` — full-scale sweep (longer request streams).
+//! * `--serve-threads <n|auto>` — the pooled arm's worker count
 //!   (`auto` = all cores; default 4).
-//! * `OROCHI_SERVE_QUEUE` — admission-queue depth (default
+//! * `--queue-depth <n>` — admission-queue depth (default
 //!   8 × workers).
-//! * `OROCHI_BENCH_JSON=path` — write the results as JSON for the
+//! * `--bench-json <path>` — write the results as JSON for the
 //!   `bench-smoke` CI artifact.
+//! * `--skew` / `--session-len` — the workload skew.
 
 use orochi_bench::json::Json;
-use orochi_harness::experiments::{print_saturation, saturation, scale_from_env, SaturationRow};
-use orochi_harness::{serve_queue_from_env, serve_threads_from_env};
+use orochi_harness::experiments::{print_saturation, saturation, SaturationRow};
+use orochi_harness::Config;
 
 fn json_doc(scale: f64, hw: usize, rows: &[SaturationRow]) -> Json {
     Json::obj([
@@ -67,22 +68,30 @@ fn json_doc(scale: f64, hw: usize, rows: &[SaturationRow]) -> Json {
 }
 
 fn main() {
-    orochi_bench::cli::apply_skew_args("saturation", std::env::args().skip(1));
-    let scale = scale_from_env();
+    let config = Config::load("saturation");
+    orochi_obs::set_enabled(config.obs_enabled());
+    let scale = config.scale();
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let pooled = serve_threads_from_env();
-    let queue_depth = serve_queue_from_env();
+    let pooled = config.resolved_serve_threads();
+    let queue_depth = config.serve_queue;
     let max_requests = if scale >= 1.0 { 4000 } else { 400 };
     let worker_counts: &[usize] = if pooled <= 1 { &[1] } else { &[1, pooled] };
     println!("== Saturation sweep (scale {scale}, workers {worker_counts:?}, hw {hw} threads) ==");
-    let rows = saturation(scale, 42, worker_counts, queue_depth, max_requests);
+    let rows = saturation(
+        scale,
+        42,
+        &config.skew,
+        worker_counts,
+        queue_depth,
+        max_requests,
+    );
     print_saturation(&rows);
 
-    if let Ok(path) = std::env::var("OROCHI_BENCH_JSON") {
+    if let Some(path) = &config.bench_json {
         let doc = json_doc(scale, hw, &rows);
-        std::fs::write(&path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }
 }

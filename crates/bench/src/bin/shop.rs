@@ -5,17 +5,20 @@
 //! register/KV-path share, and one rejected audit per tampering variant
 //! (forged cart total, stale inventory read, replayed KV write).
 //!
-//! Usage: `cargo run --release -p orochi_bench --bin shop
-//!         [--skew <theta[,len]>] [--session-len <len>]`
+//! Usage: `cargo run --release -p orochi_bench --bin shop [flags]`
+//! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
+//! variables apply):
 //!
-//! * `OROCHI_FULL=1` — the full-scale session count.
-//! * `OROCHI_AUDIT_THREADS` — worker threads for the pooled arms.
-//! * `OROCHI_BENCH_JSON=path` — write the results as JSON for the
+//! * `--full` — the full-scale session count.
+//! * `--audit-threads <n|auto>` — worker threads for the pooled arms.
+//! * `--bench-json <path>` — write the results as JSON for the
 //!   `bench-smoke` CI artifact.
+//! * `--skew` / `--session-len`, `--serve-threads` / `--queue-depth` —
+//!   the workload skew and the serve.
 
 use orochi_bench::json::Json;
-use orochi_harness::audit_threads_from_env;
-use orochi_harness::experiments::{print_shop, scale_from_env, shop_experiment, ShopReport};
+use orochi_harness::experiments::{print_shop, shop_experiment, ShopReport};
+use orochi_harness::Config;
 
 fn json_doc(scale: f64, r: &ShopReport) -> Json {
     Json::obj([
@@ -61,16 +64,17 @@ fn json_doc(scale: f64, r: &ShopReport) -> Json {
 }
 
 fn main() {
-    orochi_bench::cli::apply_skew_args("shop", std::env::args().skip(1));
-    let scale = scale_from_env();
-    let threads = audit_threads_from_env();
+    let config = Config::load("shop");
+    orochi_obs::set_enabled(config.obs_enabled());
+    let scale = config.scale();
+    let threads = config.resolved_audit_threads();
     println!("== Shop: session-heavy storefront (scale {scale}) ==");
-    let report = shop_experiment(scale, 42, threads);
+    let report = shop_experiment(scale, 42, &config.skew, &config.serve_options(), threads);
     print_shop(&report);
 
-    if let Ok(path) = std::env::var("OROCHI_BENCH_JSON") {
+    if let Some(path) = &config.bench_json {
         let doc = json_doc(scale, &report);
-        std::fs::write(&path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }
 }

@@ -5,9 +5,11 @@
 //! as the `streaming` row of the CI `BENCH_ci.json` artifact.
 //!
 //! Usage: `cargo run --release -p orochi_bench --bin streaming [flags]`
-//! (the shared [`orochi_harness::Config`] flags apply: `--full`,
-//! `--epoch-events <n>`, `--audit-threads <n|auto>`, `--bench-json
-//! <path>`, …).
+//! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
+//! variables apply: `--full`, `--epoch-events <n>`,
+//! `--segment-bytes <n>`, `--audit-threads <n|auto>`,
+//! `--bench-json <path>`, …). The bin switches telemetry itself, so
+//! `--obs` has no effect here.
 //!
 //! Peak heap is measured by the counting global allocator
 //! ([`TrackingAllocator`]): each arm resets the high-water mark, runs
@@ -20,14 +22,13 @@
 //!   under half the batch audit's, the bounded-carry claim at
 //!   epoch-budget scale.
 
-use orochi_bench::cli::apply_skew_args;
 use orochi_bench::json::Json;
 use orochi_common::metrics::{alloc_tracking, TrackingAllocator};
 use orochi_core::Rejection;
 use orochi_harness::experiments::shop_workload;
 use orochi_harness::{
     run_audit_cold, run_audit_streaming, serve, serve_and_audit, spill_bundle, AuditOptions,
-    AuditRun, ServeOptions, Threads,
+    AuditRun, Config, Threads,
 };
 use orochi_trace::{TraceStoreReader, DEFAULT_SEGMENT_BYTES};
 use std::time::Instant;
@@ -43,7 +44,7 @@ fn verdict(run: &Result<AuditRun, Rejection>) -> String {
 }
 
 fn main() {
-    let config = apply_skew_args("streaming", std::env::args().skip(1));
+    let config = Config::load("streaming");
     // An explicit --audit-threads is honored unclamped (measurement
     // bins want the requested pool even on small runners); auto
     // resolves to the hardware.
@@ -70,8 +71,9 @@ fn main() {
     // collects the epoch-lag distribution.
     orochi_obs::set_enabled(false);
 
-    let work = shop_workload(config.scale(), 42);
-    let served = serve(&work, &ServeOptions::default());
+    let work = shop_workload(config.scale(), 42, &config.skew);
+    let serve_opts = config.serve_options();
+    let served = serve(&work, &serve_opts);
     let events = served.bundle.trace.len();
     let dir = std::env::temp_dir().join(format!("orochi-bench-streaming-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -118,7 +120,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir2);
     let sa = serve_and_audit(
         &work,
-        &ServeOptions::default(),
+        &serve_opts,
         &opts,
         &dir2,
         segment_budget,

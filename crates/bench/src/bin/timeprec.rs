@@ -1,10 +1,12 @@
 //! The graph-layer ablation at fig8-like trace scale: dense vs.
 //! frontier vs. two-phase vs. streamed-CSR wall times, plus the
 //! cycle-check microbench, printed as a table and (with
-//! `OROCHI_BENCH_JSON=path`) emitted as the `timeprec` row of the CI
-//! `BENCH_ci.json` artifact.
+//! `--bench-json <path>` or `OROCHI_BENCH_JSON=path`) emitted as the
+//! `timeprec` row of the CI `BENCH_ci.json` artifact.
 //!
-//! Usage: `cargo run --release -p orochi_bench --bin timeprec`
+//! Usage: `cargo run --release -p orochi_bench --bin timeprec [flags]`
+//! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
+//! variables apply; this bin reads `--full` and `--bench-json`).
 //!
 //! * dense — `dense_time_precedence`, the `O(X²)` reference;
 //! * frontier — the Fig. 6 streaming frontier materialized as an edge
@@ -20,12 +22,14 @@
 //!   the output stays byte-identical to the sequential build;
 //! * cycle_check — Kahn's algorithm alone over the prebuilt CSR graph.
 //!
-//! `OROCHI_FULL=1` raises the trace to the paper-scale request count.
+//! `--full` (or `OROCHI_FULL=1`) raises the trace to the paper-scale
+//! request count.
 
 use orochi_bench::json::Json;
 use orochi_bench::{epoch_trace, zero_op_reports};
 use orochi_core::graph::{process_op_reports, process_op_reports_with, two_phase};
 use orochi_core::precedence::{create_time_precedence_graph, dense_time_precedence};
+use orochi_harness::Config;
 use std::time::{Duration, Instant};
 
 /// Minimum of `runs` timed executions of `f` (the same noise
@@ -42,12 +46,12 @@ fn min_wall(runs: usize, mut f: impl FnMut()) -> Duration {
 }
 
 fn main() {
-    let full =
-        matches!(std::env::var("OROCHI_FULL"), Ok(v) if v == "1" || v.eq_ignore_ascii_case("true"));
+    let config = Config::load("timeprec");
+    orochi_obs::set_enabled(config.obs_enabled());
     // Smoke scale matches the CI fig8 trace sizes; full scale matches
     // the paper's request counts (dense is O(X²) — this is the arm that
     // bounds the budget).
-    let (epochs, width) = if full { (1250, 16) } else { (500, 8) };
+    let (epochs, width) = if config.full { (1250, 16) } else { (500, 8) };
     let requests = epochs * width;
     let runs = 3;
 
@@ -104,7 +108,7 @@ fn main() {
         graph.num_edges(),
     );
 
-    if let Ok(path) = std::env::var("OROCHI_BENCH_JSON") {
+    if let Some(path) = &config.bench_json {
         let doc = Json::obj([
             ("experiment", Json::str("timeprec")),
             ("requests", Json::from(requests)),
@@ -123,7 +127,7 @@ fn main() {
             ("csr_speedup", Json::Num(csr_speedup)),
             ("csr_par_speedup", Json::Num(par_speedup)),
         ]);
-        std::fs::write(&path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }
 }

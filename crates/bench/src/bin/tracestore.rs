@@ -5,8 +5,9 @@
 //! `BENCH_ci.json` artifact.
 //!
 //! Usage: `cargo run --release -p orochi_bench --bin tracestore [flags]`
-//! (the shared [`orochi_harness::Config`] flags apply: `--full`,
-//! `--bench-json <path>`, `--store-dir <dir>`, `--segment-bytes <n>`,
+//! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
+//! variables apply: `--full`, `--bench-json <path>`,
+//! `--store-dir <dir>`, `--segment-bytes <n>`,
 //! `--audit-threads <n|auto>`, …).
 //!
 //! `seal_events_per_s` (trace events over the spill wall) is emitted
@@ -21,17 +22,15 @@
 //!   budget plus one event of overshoot, which is what bounds the
 //!   auditor's resident ingest buffer.
 
-use orochi_bench::cli::apply_skew_args;
 use orochi_bench::json::Json;
 use orochi_harness::experiments::shop_workload;
-use orochi_harness::{
-    run_audit_cold, run_audit_with, serve, spill_bundle, AuditOptions, ServeOptions,
-};
+use orochi_harness::{run_audit_cold, run_audit_with, serve, spill_bundle, AuditOptions, Config};
 use orochi_trace::{TraceStoreReader, DEFAULT_SEGMENT_BYTES};
 use std::time::Instant;
 
 fn main() {
-    let config = apply_skew_args("tracestore", std::env::args().skip(1));
+    let config = Config::load("tracestore");
+    orochi_obs::set_enabled(config.obs_enabled());
     // At smoke scale, default to small segments so the bench actually
     // exercises multi-segment stores; an explicit --segment-bytes or
     // OROCHI_SEGMENT_BYTES wins.
@@ -44,8 +43,8 @@ fn main() {
     };
     let threads = config.resolved_audit_threads();
 
-    let work = shop_workload(config.scale(), 42);
-    let served = serve(&work, &ServeOptions::default());
+    let work = shop_workload(config.scale(), 42, &config.skew);
+    let served = serve(&work, &config.serve_options());
     let events = served.bundle.trace.len();
 
     let tmp_dir;

@@ -5,7 +5,6 @@
 //! and multivalue VMs and (b) synthesize traces for the time-precedence
 //! ablation; the helpers live here.
 
-pub mod cli;
 pub mod json;
 
 use orochi_accphp::groupvm::{run_group, GroupOutcome};

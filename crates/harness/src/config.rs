@@ -1,16 +1,18 @@
-//! One typed configuration for every OROCHI knob.
+//! One typed configuration for every OROCHI knob, and the only reader
+//! of the process environment.
 //!
-//! Historically each knob lived in its own `OROCHI_*` environment
-//! variable with a hand-rolled reader, and each bench binary grew its
-//! own flag parsing. [`Config`] consolidates them: a plain struct with
-//! typed fields, loaded from the environment ([`Config::from_env`]),
-//! merged with command-line flags ([`Config::apply_cli`] — CLI wins
-//! over environment), and exportable back to the environment
-//! ([`Config::export_env`]) so code that still reads the variables
-//! (workload generators, the serving front-end defaults) sees the same
-//! configuration. The environment names remain the compatibility
-//! layer; the legacy per-knob readers in [`crate::driver`] keep
-//! working.
+//! Each bench binary builds a [`Config`] once at the top of `main` with
+//! [`Config::load`] — the `OROCHI_*` variables first, the command-line
+//! flags on top (flags win) — and passes it, or values taken from it,
+//! down the call chain: workload builders take a [`Skew`], the drivers
+//! take [`ServeOptions`] / [`crate::AuditOptions`], and the binary sets the
+//! telemetry switch with `orochi_obs::set_enabled(config.obs_enabled())`.
+//! No code below `main` reads the environment.
+//!
+//! Every knob is one row of a single table, so a variable and its flag
+//! go through the same parser and land on the same field. An empty
+//! value leaves the field as it was, except for the two thread counts,
+//! where empty means `auto`.
 //!
 //! | Field | Variable | Flag | Default |
 //! |---|---|---|---|
@@ -29,7 +31,7 @@
 //! | `campaign_k` | `OROCHI_CAMPAIGN_K` | `--campaign-k` | 0 (cycle 1–3) |
 //! | `campaign_seed` | `OROCHI_CAMPAIGN_SEED` | `--campaign-seed` | 0xC0FFEE |
 
-use crate::driver::{resolve_audit_threads, resolve_serve_threads, AuditOptions, ServeOptions};
+use crate::driver::{resolve_audit_threads, resolve_serve_threads, ServeOptions};
 use orochi_trace::DEFAULT_SEGMENT_BYTES;
 use orochi_workload::skew::Skew;
 use std::path::PathBuf;
@@ -44,39 +46,21 @@ pub enum Threads {
 }
 
 impl Threads {
-    fn parse(label: &str, v: &str) -> Threads {
-        if v.eq_ignore_ascii_case("auto") || v.is_empty() {
-            Threads::Auto
+    /// A count, or `auto` (any case) or empty for the machine's
+    /// parallelism.
+    fn parse(v: &str) -> Result<Threads, String> {
+        if v.is_empty() || v.eq_ignore_ascii_case("auto") {
+            Ok(Threads::Auto)
         } else {
-            Threads::Exact(
-                v.parse::<usize>()
-                    .unwrap_or_else(|_| panic!("{label} must be a number or 'auto', got {v:?}")),
-            )
-        }
-    }
-
-    fn parse_flag(bin: &str, flag: &str, v: &str) -> Threads {
-        if v.eq_ignore_ascii_case("auto") {
-            Threads::Auto
-        } else {
-            Threads::Exact(
-                v.parse::<usize>()
-                    .unwrap_or_else(|_| panic!("{bin}: {flag} needs a count or auto")),
-            )
-        }
-    }
-
-    fn env_value(&self) -> String {
-        match self {
-            Threads::Auto => "auto".to_string(),
-            Threads::Exact(n) => n.to_string(),
+            v.parse()
+                .map(Threads::Exact)
+                .map_err(|_| format!("must be a number or 'auto', got {v:?}"))
         }
     }
 }
 
 /// The consolidated knob set. Fields are public; construct with
-/// [`Config::default`], [`Config::from_env`], or either followed by
-/// [`Config::apply_cli`].
+/// [`Config::default`] or [`Config::load`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Serving front-end worker threads.
@@ -137,219 +121,150 @@ impl Default for Config {
     }
 }
 
-fn parse_u64_maybe_hex(v: &str) -> Option<u64> {
-    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse::<u64>().ok(),
-    }
+/// Every knob, in usage-message order: its variable (if any), its flag,
+/// and the flag's value hint (empty for a switch, which takes no value
+/// and reads as `"1"`). [`Config::set`] parses both sources.
+const KNOBS: &[(Option<&str>, &str, &str)] = &[
+    (Some("OROCHI_SERVE_THREADS"), "--serve-threads", "<n|auto>"),
+    (Some("OROCHI_SERVE_QUEUE"), "--queue-depth", "<n>"),
+    (Some("OROCHI_AUDIT_THREADS"), "--audit-threads", "<n|auto>"),
+    (
+        Some("OROCHI_WORKLOAD_SKEW"),
+        "--skew",
+        "<theta[,session_len]>",
+    ),
+    (None, "--session-len", "<len>"),
+    (Some("OROCHI_FULL"), "--full", ""),
+    (Some("OROCHI_BENCH_JSON"), "--bench-json", "<path>"),
+    (Some("OROCHI_STORE_DIR"), "--store-dir", "<path>"),
+    (Some("OROCHI_SEGMENT_BYTES"), "--segment-bytes", "<n>"),
+    (Some("OROCHI_EPOCH_EVENTS"), "--epoch-events", "<n>"),
+    (Some("OROCHI_OBS"), "--obs", ""),
+    (Some("OROCHI_OBS_OUT"), "--obs-out", "<prefix>"),
+    (Some("OROCHI_CAMPAIGNS"), "--campaigns", "<n>"),
+    (Some("OROCHI_CAMPAIGN_K"), "--campaign-k", "<k>"),
+    (Some("OROCHI_CAMPAIGN_SEED"), "--campaign-seed", "<seed>"),
+];
+
+/// `1` or `true` (any case) switch a knob on; anything else is off.
+fn truthy(v: &str) -> bool {
+    v == "1" || v.eq_ignore_ascii_case("true")
 }
 
-fn env_nonempty(name: &str) -> Option<String> {
-    match std::env::var(name) {
-        Ok(v) if !v.is_empty() => Some(v),
-        _ => None,
+/// A decimal or `0x`-prefixed hexadecimal seed.
+fn parse_seed(v: &str) -> Option<u64> {
+    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
     }
 }
 
 impl Config {
-    /// Loads every knob from its `OROCHI_*` variable, with the same
-    /// defaults and panic messages as the legacy per-knob readers.
+    /// The process configuration of binary `bin`: every `OROCHI_*`
+    /// variable, then the command-line flags on top. This is the only
+    /// place the process environment is read.
     ///
     /// # Panics
     ///
-    /// Panics on malformed values — a silently ignored knob would
-    /// corrupt an experiment.
-    pub fn from_env() -> Config {
-        let defaults = Config::default();
-        Config {
-            serve_threads: match std::env::var("OROCHI_SERVE_THREADS") {
-                Ok(v) => Threads::parse("OROCHI_SERVE_THREADS", &v),
-                Err(_) => defaults.serve_threads,
-            },
-            serve_queue: match env_nonempty("OROCHI_SERVE_QUEUE") {
-                Some(v) => v.parse::<usize>().unwrap_or_else(|_| {
-                    panic!("OROCHI_SERVE_QUEUE must be a queue depth, got {v:?}")
-                }),
-                None => defaults.serve_queue,
-            },
-            audit_threads: match std::env::var("OROCHI_AUDIT_THREADS") {
-                Ok(v) => Threads::parse("OROCHI_AUDIT_THREADS", &v),
-                Err(_) => defaults.audit_threads,
-            },
-            skew: orochi_workload::skew::from_env(),
-            full: matches!(std::env::var("OROCHI_FULL"),
-                           Ok(v) if v == "1" || v.eq_ignore_ascii_case("true")),
-            bench_json: env_nonempty("OROCHI_BENCH_JSON"),
-            store_dir: env_nonempty("OROCHI_STORE_DIR").map(PathBuf::from),
-            segment_bytes: match env_nonempty("OROCHI_SEGMENT_BYTES") {
-                Some(v) => v.parse::<usize>().unwrap_or_else(|_| {
-                    panic!("OROCHI_SEGMENT_BYTES must be a byte count, got {v:?}")
-                }),
-                None => defaults.segment_bytes,
-            },
-            epoch_events: match env_nonempty("OROCHI_EPOCH_EVENTS") {
-                Some(v) => v.parse::<usize>().unwrap_or_else(|_| {
-                    panic!("OROCHI_EPOCH_EVENTS must be an event count, got {v:?}")
-                }),
-                None => defaults.epoch_events,
-            },
-            obs: matches!(std::env::var("OROCHI_OBS"),
-                          Ok(v) if v == "1" || v.eq_ignore_ascii_case("true")),
-            obs_out: env_nonempty("OROCHI_OBS_OUT").map(PathBuf::from),
-            campaigns: match env_nonempty("OROCHI_CAMPAIGNS") {
-                Some(v) => v.parse::<usize>().unwrap_or_else(|_| {
-                    panic!("OROCHI_CAMPAIGNS must be a campaign count, got {v:?}")
-                }),
-                None => defaults.campaigns,
-            },
-            campaign_k: match env_nonempty("OROCHI_CAMPAIGN_K") {
-                Some(v) => v.parse::<usize>().unwrap_or_else(|_| {
-                    panic!("OROCHI_CAMPAIGN_K must be a site count, got {v:?}")
-                }),
-                None => defaults.campaign_k,
-            },
-            campaign_seed: match env_nonempty("OROCHI_CAMPAIGN_SEED") {
-                Some(v) => parse_u64_maybe_hex(&v).unwrap_or_else(|| {
-                    panic!("OROCHI_CAMPAIGN_SEED must be a seed (decimal or 0x hex), got {v:?}")
-                }),
-                None => defaults.campaign_seed,
-            },
-            seed: defaults.seed,
-        }
+    /// See [`Config::from_sources`].
+    pub fn load(bin: &str) -> Config {
+        let vars = KNOBS
+            .iter()
+            .filter_map(|k| k.0)
+            .filter_map(|name| Some((name, std::env::var(name).ok()?)));
+        Config::from_sources(bin, vars, std::env::args().skip(1))
     }
 
-    /// Merges command-line flags into `self` (CLI wins over whatever
-    /// the config currently holds). Unknown arguments panic with a
-    /// usage message naming `bin`.
+    /// [`Config::load`] over explicit sources: `vars` as (name, value)
+    /// pairs (names that are no knob's variable are ignored), then
+    /// `args` as flags, which win over the variables.
     ///
     /// # Panics
     ///
-    /// Panics on unknown flags, missing values, or malformed values.
-    pub fn apply_cli(&mut self, bin: &str, args: impl Iterator<Item = String>) {
-        let mut args = args.peekable();
+    /// Panics, naming `bin`, on unknown flags, missing values, or
+    /// malformed values — a silently ignored knob would corrupt an
+    /// experiment.
+    pub fn from_sources<K: AsRef<str>, V: AsRef<str>>(
+        bin: &str,
+        vars: impl IntoIterator<Item = (K, V)>,
+        args: impl IntoIterator<Item = String>,
+    ) -> Config {
+        let mut config = Config::default();
+        let mut apply = |flag: &str, source: &str, value: &str| {
+            config
+                .set(flag, value)
+                .unwrap_or_else(|e| panic!("{bin}: {source} {e}"));
+        };
+        for (name, value) in vars {
+            let name = name.as_ref();
+            if let Some(&(_, flag, _)) = KNOBS.iter().find(|k| k.0 == Some(name)) {
+                apply(flag, name, value.as_ref());
+            }
+        }
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            let mut value_of = |flag: &str| {
+            let Some(&(_, flag, hint)) = KNOBS.iter().find(|k| k.1 == arg) else {
+                let usage: Vec<String> = KNOBS
+                    .iter()
+                    .map(|(_, flag, hint)| format!("{flag} {hint}").trim_end().to_string())
+                    .collect();
+                panic!(
+                    "{bin}: unknown argument {arg:?} (supported: {})",
+                    usage.join(", ")
+                );
+            };
+            let value = if hint.is_empty() {
+                "1".to_string()
+            } else {
                 args.next()
                     .unwrap_or_else(|| panic!("{bin}: {flag} needs a value"))
             };
-            match arg.as_str() {
-                "--skew" => {
-                    let v = value_of("--skew");
-                    let parsed =
-                        Skew::parse(&v).unwrap_or_else(|e| panic!("{bin}: invalid skew: {e}"));
-                    if parsed.theta.is_some() {
-                        self.skew.theta = parsed.theta;
-                    }
-                    if parsed.session_len.is_some() {
-                        self.skew.session_len = parsed.session_len;
-                    }
-                }
-                "--session-len" => {
-                    let v = value_of("--session-len");
-                    let parsed = Skew::parse(&format!(",{v}"))
-                        .unwrap_or_else(|e| panic!("{bin}: invalid skew: {e}"));
-                    self.skew.session_len = parsed.session_len;
-                }
-                "--serve-threads" => {
-                    self.serve_threads =
-                        Threads::parse_flag(bin, "--serve-threads", &value_of("--serve-threads"));
-                }
-                "--queue-depth" => {
-                    let v = value_of("--queue-depth");
-                    self.serve_queue = v
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| panic!("{bin}: --queue-depth needs a number"));
-                }
-                "--audit-threads" => {
-                    self.audit_threads =
-                        Threads::parse_flag(bin, "--audit-threads", &value_of("--audit-threads"));
-                }
-                "--full" => self.full = true,
-                "--bench-json" => self.bench_json = Some(value_of("--bench-json")),
-                "--store-dir" => {
-                    self.store_dir = Some(PathBuf::from(value_of("--store-dir")));
-                }
-                "--segment-bytes" => {
-                    let v = value_of("--segment-bytes");
-                    self.segment_bytes = v
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| panic!("{bin}: --segment-bytes needs a byte count"));
-                }
-                "--epoch-events" => {
-                    let v = value_of("--epoch-events");
-                    self.epoch_events = v
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| panic!("{bin}: --epoch-events needs an event count"));
-                }
-                "--obs" => self.obs = true,
-                "--obs-out" => {
-                    self.obs_out = Some(PathBuf::from(value_of("--obs-out")));
-                }
-                "--campaigns" => {
-                    let v = value_of("--campaigns");
-                    self.campaigns = v
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| panic!("{bin}: --campaigns needs a count"));
-                }
-                "--campaign-k" => {
-                    let v = value_of("--campaign-k");
-                    self.campaign_k = v
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| panic!("{bin}: --campaign-k needs a site count"));
-                }
-                "--campaign-seed" => {
-                    let v = value_of("--campaign-seed");
-                    self.campaign_seed = parse_u64_maybe_hex(&v).unwrap_or_else(|| {
-                        panic!("{bin}: --campaign-seed needs a seed (decimal or 0x hex)")
-                    });
-                }
-                other => panic!(
-                    "{bin}: unknown argument {other:?} \
-                     (supported: --skew <theta[,session_len]>, --session-len <len>, \
-                     --serve-threads <n|auto>, --queue-depth <n>, \
-                     --audit-threads <n|auto>, --full, \
-                     --bench-json <path>, --store-dir <path>, --segment-bytes <n>, \
-                     --epoch-events <n>, --obs, --obs-out <prefix>, \
-                     --campaigns <n>, --campaign-k <k>, --campaign-seed <seed>)"
-                ),
-            }
+            apply(flag, flag, &value);
         }
+        config
     }
 
-    /// Writes every knob back to its `OROCHI_*` variable so legacy
-    /// readers (workload generators, `ServeOptions::default`) observe
-    /// this configuration.
-    pub fn export_env(&self) {
-        std::env::set_var("OROCHI_SERVE_THREADS", self.serve_threads.env_value());
-        std::env::set_var("OROCHI_SERVE_QUEUE", self.serve_queue.to_string());
-        std::env::set_var("OROCHI_AUDIT_THREADS", self.audit_threads.env_value());
-        match self.skew_env_value() {
-            Some(v) => std::env::set_var("OROCHI_WORKLOAD_SKEW", v),
-            None => std::env::remove_var("OROCHI_WORKLOAD_SKEW"),
+    /// The one parser behind both sources: sets the field that `flag`
+    /// names from `v`. An empty value leaves the field as it was,
+    /// except for the thread counts, where it means `auto`. An error
+    /// completes the sentence "`<variable or flag>` …".
+    fn set(&mut self, flag: &str, v: &str) -> Result<(), String> {
+        let count = |what: &str| {
+            v.parse::<usize>()
+                .map_err(|_| format!("must be {what}, got {v:?}"))
+        };
+        match flag {
+            "--serve-threads" => self.serve_threads = Threads::parse(v)?,
+            "--audit-threads" => self.audit_threads = Threads::parse(v)?,
+            _ if v.is_empty() => {}
+            "--queue-depth" => self.serve_queue = count("a queue depth")?,
+            "--skew" => self.merge_skew(v)?,
+            "--session-len" => self.merge_skew(&format!(",{v}"))?,
+            "--full" => self.full = truthy(v),
+            "--bench-json" => self.bench_json = Some(v.to_string()),
+            "--store-dir" => self.store_dir = Some(v.into()),
+            "--segment-bytes" => self.segment_bytes = count("a byte count")?,
+            "--epoch-events" => self.epoch_events = count("an event count")?,
+            "--obs" => self.obs = truthy(v),
+            "--obs-out" => self.obs_out = Some(v.into()),
+            "--campaigns" => self.campaigns = count("a campaign count")?,
+            "--campaign-k" => self.campaign_k = count("a site count")?,
+            "--campaign-seed" => {
+                self.campaign_seed = parse_seed(v)
+                    .ok_or_else(|| format!("must be a seed (decimal or 0x hex), got {v:?}"))?
+            }
+            _ => unreachable!("{flag} is listed in KNOBS without a parser"),
         }
-        std::env::set_var("OROCHI_FULL", if self.full { "1" } else { "0" });
-        match &self.bench_json {
-            Some(path) => std::env::set_var("OROCHI_BENCH_JSON", path),
-            None => std::env::remove_var("OROCHI_BENCH_JSON"),
-        }
-        match &self.store_dir {
-            Some(dir) => std::env::set_var("OROCHI_STORE_DIR", dir),
-            None => std::env::remove_var("OROCHI_STORE_DIR"),
-        }
-        std::env::set_var("OROCHI_SEGMENT_BYTES", self.segment_bytes.to_string());
-        std::env::set_var("OROCHI_EPOCH_EVENTS", self.epoch_events.to_string());
-        let obs_on = self.obs_enabled();
-        std::env::set_var("OROCHI_OBS", if obs_on { "1" } else { "0" });
-        match &self.obs_out {
-            Some(prefix) => std::env::set_var("OROCHI_OBS_OUT", prefix),
-            None => std::env::remove_var("OROCHI_OBS_OUT"),
-        }
-        std::env::set_var("OROCHI_CAMPAIGNS", self.campaigns.to_string());
-        std::env::set_var("OROCHI_CAMPAIGN_K", self.campaign_k.to_string());
-        std::env::set_var("OROCHI_CAMPAIGN_SEED", self.campaign_seed.to_string());
-        // The telemetry layer caches its enabled flag; push the decision
-        // through so code that already resolved it observes this config.
-        orochi_obs::set_enabled(obs_on);
+        Ok(())
+    }
+
+    /// Merges a `theta[,session_len]` override: only the parts it names
+    /// replace the current skew.
+    fn merge_skew(&mut self, raw: &str) -> Result<(), String> {
+        let parsed = Skew::parse(raw).map_err(|e| format!("is invalid: {e}"))?;
+        self.skew.theta = parsed.theta.or(self.skew.theta);
+        self.skew.session_len = parsed.session_len.or(self.skew.session_len);
+        Ok(())
     }
 
     /// Whether the clock-bearing telemetry layer should be on: asked
@@ -358,18 +273,8 @@ impl Config {
         self.obs || self.obs_out.is_some()
     }
 
-    /// The skew knob in its `OROCHI_WORKLOAD_SKEW` syntax, or `None`
-    /// when nothing is overridden.
-    fn skew_env_value(&self) -> Option<String> {
-        match (self.skew.theta, self.skew.session_len) {
-            (None, None) => None,
-            (Some(t), None) => Some(format!("{t}")),
-            (None, Some(l)) => Some(format!(",{l}")),
-            (Some(t), Some(l)) => Some(format!("{t},{l}")),
-        }
-    }
-
-    /// Workload scale matching [`crate::experiments::scale_from_env`].
+    /// Workload scale: the paper's full counts with `full`, otherwise a
+    /// CI-friendly fraction.
     pub fn scale(&self) -> f64 {
         if self.full {
             1.0
@@ -403,148 +308,225 @@ impl Config {
             seed: self.seed,
         }
     }
-
-    /// Audit options carrying this configuration (grouped re-execution
-    /// and query dedup on, as everywhere outside the ablations).
-    pub fn audit_options(&self) -> AuditOptions {
-        AuditOptions {
-            grouped: true,
-            dedup: true,
-            threads: self.resolved_audit_threads(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Threads::{Auto, Exact};
 
-    fn args(list: &[&str]) -> impl Iterator<Item = String> {
-        list.iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .into_iter()
-    }
-
-    #[test]
-    fn defaults_match_legacy_readers() {
-        let c = Config::default();
-        assert_eq!(c.serve_threads, Threads::Exact(4));
-        assert_eq!(c.serve_queue, 0);
-        assert_eq!(c.audit_threads, Threads::Auto);
-        assert_eq!(c.segment_bytes, DEFAULT_SEGMENT_BYTES);
-        assert_eq!(c.epoch_events, 0, "batch by default");
-        assert!(!c.full);
-        assert!(c.bench_json.is_none() && c.store_dir.is_none());
-    }
-
-    #[test]
-    fn cli_merges_over_defaults() {
-        let mut c = Config::default();
-        c.apply_cli(
+    /// Loads from an injected variable list and flag list; the process
+    /// environment is never read or written.
+    fn load(vars: &[(&str, &str)], flags: &[&str]) -> Config {
+        Config::from_sources(
             "t",
-            args(&[
-                "--skew",
-                "0.8",
-                "--session-len",
-                "4",
-                "--serve-threads",
-                "8",
-                "--queue-depth",
-                "64",
-                "--audit-threads",
-                "auto",
-                "--full",
-                "--bench-json",
-                "/tmp/out.json",
-                "--store-dir",
-                "/tmp/store",
-                "--segment-bytes",
-                "65536",
-                "--epoch-events",
-                "512",
-            ]),
+            vars.iter().copied(),
+            flags.iter().map(|s| s.to_string()),
+        )
+    }
+
+    fn path(p: &str) -> Option<PathBuf> {
+        Some(PathBuf::from(p))
+    }
+
+    fn skew(theta: f64, session_len: f64) -> Skew {
+        Skew {
+            theta: Some(theta),
+            session_len: Some(session_len),
+        }
+    }
+
+    /// Every valued knob with a variable: the variable, the flag, a
+    /// value `a` and a second value `b`, and whether a config holds `a`
+    /// in the knob's own field.
+    type Row = (
+        &'static str,
+        &'static str,
+        &'static str,
+        &'static str,
+        Holds,
+    );
+    type Holds = fn(&Config) -> bool;
+    #[rustfmt::skip]
+    const VALUED: &[Row] = &[
+        ("OROCHI_SERVE_THREADS", "--serve-threads", "8", "auto", |c| c.serve_threads == Exact(8)),
+        ("OROCHI_SERVE_QUEUE", "--queue-depth", "64", "7", |c| c.serve_queue == 64),
+        ("OROCHI_AUDIT_THREADS", "--audit-threads", "3", "auto", |c| c.audit_threads == Exact(3)),
+        ("OROCHI_WORKLOAD_SKEW", "--skew", "0.8,4", "1.1", |c| c.skew == skew(0.8, 4.0)),
+        ("OROCHI_BENCH_JSON", "--bench-json", "/o", "/p", |c| c.bench_json == Some("/o".into())),
+        ("OROCHI_STORE_DIR", "--store-dir", "/s", "/t", |c| c.store_dir == path("/s")),
+        ("OROCHI_SEGMENT_BYTES", "--segment-bytes", "65536", "64", |c| c.segment_bytes == 65536),
+        ("OROCHI_EPOCH_EVENTS", "--epoch-events", "512", "32", |c| c.epoch_events == 512),
+        ("OROCHI_OBS_OUT", "--obs-out", "/obs", "/o2", |c| c.obs_out == path("/obs")),
+        ("OROCHI_CAMPAIGNS", "--campaigns", "500", "5", |c| c.campaigns == 500),
+        ("OROCHI_CAMPAIGN_K", "--campaign-k", "2", "3", |c| c.campaign_k == 2),
+        ("OROCHI_CAMPAIGN_SEED", "--campaign-seed", "0xDEAD", "97", |c| c.campaign_seed == 0xDEAD),
+    ];
+
+    /// The switches: variable, flag, and whether a config has it on.
+    type Switch = (&'static str, &'static str, Holds);
+    const SWITCHES: &[Switch] = &[
+        ("OROCHI_FULL", "--full", |c| c.full),
+        ("OROCHI_OBS", "--obs", |c| c.obs),
+    ];
+
+    #[test]
+    fn every_knob_is_covered_by_the_table_test() {
+        let pairs: Vec<(Option<&str>, &str)> = VALUED
+            .iter()
+            .map(|r| (Some(r.0), r.1))
+            .chain(SWITCHES.iter().map(|r| (Some(r.0), r.1)))
+            .chain([(None, "--session-len")])
+            .collect();
+        let knobs: Vec<(Option<&str>, &str)> = KNOBS.iter().map(|k| (k.0, k.1)).collect();
+        assert_eq!(pairs.len(), knobs.len());
+        for knob in &knobs {
+            assert!(pairs.contains(knob), "{knob:?} is untested");
+        }
+    }
+
+    #[test]
+    fn variable_and_flag_land_on_the_same_field_and_the_flag_wins() {
+        for &(var, flag, a, b, holds_a) in VALUED {
+            let from_var = load(&[(var, a)], &[]);
+            assert!(
+                holds_a(&from_var),
+                "{var}={a} landed elsewhere: {from_var:?}"
+            );
+            assert_eq!(
+                from_var,
+                load(&[], &[flag, a]),
+                "{var} and {flag} disagree on {a:?}"
+            );
+            // The flag applies after the variable, exactly as if the
+            // variable had been an earlier flag, and it changes the result.
+            let both = load(&[(var, a)], &[flag, b]);
+            assert_eq!(both, load(&[], &[flag, a, flag, b]), "{flag} over {var}");
+            assert!(!holds_a(&both), "{flag} {b} did not override {var}={a}");
+            // An empty value reads the same through both sources.
+            assert_eq!(
+                load(&[(var, "")], &[]),
+                load(&[], &[flag, ""]),
+                "{var}=\"\""
+            );
+        }
+        for &(var, flag, on) in SWITCHES {
+            assert!(on(&load(&[(var, "1")], &[])) && on(&load(&[(var, "TRUE")], &[])));
+            assert_eq!(
+                load(&[(var, "1")], &[]),
+                load(&[], &[flag]),
+                "{var} vs {flag}"
+            );
+            assert!(!on(&load(&[(var, "0")], &[])) && !on(&load(&[(var, "")], &[])));
+            assert!(on(&load(&[(var, "0")], &[flag])), "{flag} beats {var}=0");
+        }
+    }
+
+    #[test]
+    fn empty_and_auto_mean_auto_for_both_thread_knobs() {
+        let serve_auto = load(&[], &["--serve-threads", "auto"]);
+        assert_eq!(serve_auto.serve_threads, Auto);
+        let audit_auto = load(&[], &["--audit-threads", "auto"]);
+        assert_eq!(audit_auto.audit_threads, Auto);
+        for (var, flag, auto) in [
+            ("OROCHI_SERVE_THREADS", "--serve-threads", serve_auto),
+            ("OROCHI_AUDIT_THREADS", "--audit-threads", audit_auto),
+        ] {
+            for v in ["", "auto", "AUTO"] {
+                assert_eq!(load(&[(var, v)], &[]), auto, "{var}={v:?}");
+                assert_eq!(load(&[], &[flag, v]), auto, "{flag} {v:?}");
+                // Over an explicit variable too: the flag's auto wins.
+                assert_eq!(load(&[(var, "2")], &[flag, v]), auto, "{flag} {v:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_values_keep_the_defaults() {
+        let vars: Vec<(&str, &str)> = KNOBS
+            .iter()
+            .filter_map(|k| k.0)
+            .filter(|v| !v.ends_with("_THREADS"))
+            .map(|v| (v, ""))
+            .collect();
+        assert_eq!(load(&vars, &[]), Config::default());
+    }
+
+    #[test]
+    fn skew_flags_merge_over_the_variable() {
+        let skew = |c: Config| (c.skew.theta, c.skew.session_len);
+        let env_theta = [("OROCHI_WORKLOAD_SKEW", "0.8")];
+        assert_eq!(
+            skew(load(&env_theta, &["--session-len", "4"])),
+            (Some(0.8), Some(4.0))
         );
-        assert_eq!(c.skew.theta, Some(0.8));
-        assert_eq!(c.skew.session_len, Some(4.0));
-        assert_eq!(c.serve_threads, Threads::Exact(8));
-        assert_eq!(c.serve_queue, 64);
-        assert_eq!(c.audit_threads, Threads::Auto);
-        assert!(c.full);
-        assert_eq!(c.bench_json.as_deref(), Some("/tmp/out.json"));
-        assert_eq!(c.store_dir, Some(PathBuf::from("/tmp/store")));
-        assert_eq!(c.segment_bytes, 65536);
-        assert_eq!(c.epoch_events, 512);
-        assert_eq!(c.scale(), 1.0);
+        assert_eq!(skew(load(&[], &["--session-len", "2"])), (None, Some(2.0)));
+        let both = load(&[], &["--skew", "1.1,9", "--session-len", "2"]);
+        assert_eq!(skew(both), (Some(1.1), Some(2.0)));
+        assert_eq!(Config::default().skew, Skew::default());
     }
 
     #[test]
-    fn session_len_overrides_embedded_skew_part() {
-        let mut c = Config::default();
-        c.apply_cli("t", args(&["--skew", "1.1,9", "--session-len", "2"]));
-        assert_eq!(c.skew.theta, Some(1.1));
-        assert_eq!(c.skew.session_len, Some(2.0));
-        assert_eq!(c.skew_env_value().as_deref(), Some("1.1,2"));
-        let mut only_len = Config::default();
-        only_len.apply_cli("t", args(&["--session-len", "2"]));
-        assert_eq!(only_len.skew_env_value().as_deref(), Some(",2"));
-        assert_eq!(Config::default().skew_env_value(), None);
+    fn flags_leave_other_variables_alone() {
+        let vars = [("OROCHI_SERVE_QUEUE", "64"), ("PATH", "/bin")];
+        let c = load(&vars, &["--serve-threads", "auto"]);
+        assert_eq!((c.serve_threads, c.serve_queue), (Auto, 64));
     }
 
     #[test]
-    fn obs_knobs_parse_and_imply() {
-        let mut c = Config::default();
-        assert!(!c.obs_enabled());
-        c.apply_cli("t", args(&["--obs"]));
-        assert!(c.obs && c.obs_enabled());
-        let mut c = Config::default();
-        c.apply_cli("t", args(&["--obs-out", "/tmp/obs_run"]));
-        assert!(!c.obs, "--obs-out alone leaves the flag false");
-        assert!(c.obs_enabled(), "but implies the layer is on");
-        assert_eq!(c.obs_out, Some(PathBuf::from("/tmp/obs_run")));
+    fn defaults_match_the_serving_defaults() {
+        let c = Config::default();
+        assert_eq!(
+            (c.serve_threads, c.serve_queue, c.audit_threads),
+            (Exact(4), 0, Auto)
+        );
+        assert_eq!(
+            (c.segment_bytes, c.epoch_events),
+            (DEFAULT_SEGMENT_BYTES, 0)
+        );
+        assert!(!c.full && c.scale() == 0.05 && !c.obs_enabled());
+        assert!(c.bench_json.is_none() && c.store_dir.is_none());
+        assert_eq!(
+            (c.campaigns, c.campaign_k, c.campaign_seed),
+            (0, 0, 0xC0FFEE)
+        );
+        assert_eq!(c.serve_options(), ServeOptions::default());
+        assert_eq!(load(&[], &["--full"]).scale(), 1.0);
+    }
+
+    #[test]
+    fn options_carry_the_config() {
+        let c = load(
+            &[],
+            &[
+                "--serve-threads",
+                "3",
+                "--audit-threads",
+                "1",
+                "--obs-out",
+                "/o",
+            ],
+        );
+        assert_eq!(
+            (c.serve_options().threads, c.serve_options().queue_depth),
+            (3, 0)
+        );
+        assert_eq!(c.resolved_audit_threads(), 1);
+        assert!(
+            !c.obs && c.obs_enabled(),
+            "--obs-out implies the layer is on"
+        );
     }
 
     #[test]
     #[should_panic(expected = "unknown argument")]
     fn unknown_flags_panic() {
-        Config::default().apply_cli("t", args(&["--frobnicate"]));
+        load(&[], &["--frobnicate"]);
     }
 
     #[test]
-    fn campaign_knobs_parse() {
-        let c = Config::default();
-        assert_eq!(c.campaigns, 0, "bin picks its own sizing by default");
-        assert_eq!(c.campaign_k, 0, "k cycles 1-3 by default");
-        assert_eq!(c.campaign_seed, 0xC0FFEE);
-        let mut c = Config::default();
-        c.apply_cli(
-            "t",
-            args(&[
-                "--campaigns",
-                "500",
-                "--campaign-k",
-                "2",
-                "--campaign-seed",
-                "0xDEAD",
-            ]),
-        );
-        assert_eq!(c.campaigns, 500);
-        assert_eq!(c.campaign_k, 2);
-        assert_eq!(c.campaign_seed, 0xDEAD);
-        let mut c = Config::default();
-        c.apply_cli("t", args(&["--campaign-seed", "97"]));
-        assert_eq!(c.campaign_seed, 97, "decimal seeds parse too");
-    }
-
-    #[test]
-    fn options_carry_the_config() {
-        let mut c = Config::default();
-        c.apply_cli("t", args(&["--serve-threads", "3", "--audit-threads", "1"]));
-        let serve = c.serve_options();
-        assert_eq!(serve.threads, 3);
-        assert_eq!(serve.queue_depth, 0);
-        let audit = c.audit_options();
-        assert_eq!(audit.threads, 1);
-        assert!(audit.grouped && audit.dedup);
+    #[should_panic(expected = "t: OROCHI_SERVE_QUEUE must be a queue depth")]
+    fn malformed_variables_panic() {
+        load(&[("OROCHI_SERVE_QUEUE", "deep")], &[]);
     }
 }

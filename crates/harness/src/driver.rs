@@ -3,22 +3,23 @@
 //! All three serving modes — closed-loop ([`serve`]/[`serve_drained`]),
 //! and open-loop ([`serve_open_loop`]/[`serve_open_loop_with`]) — are
 //! drivers over one abstraction, the [`Frontend`]: a bounded admission
-//! queue feeding a fixed worker pool. `OROCHI_SERVE_THREADS` and
-//! `OROCHI_SERVE_QUEUE` configure the pool and queue depth everywhere.
+//! queue feeding a fixed worker pool. Callers pass the pool size and
+//! queue depth in [`ServeOptions`] (a binary takes them from its
+//! [`crate::Config`]); nothing here reads the environment.
 
 use orochi_accphp::executor::ExecutorStats;
 use orochi_accphp::AccPhpExecutor;
 use orochi_apps::AppDefinition;
-use orochi_core::audit::{
-    audit, audit_parallel, audit_parallel_source, audit_source, AuditConfig, AuditOutcome,
-    Rejection,
-};
+use orochi_core::audit::{audit_parallel_source, AuditConfig, AuditOutcome, Rejection};
 use orochi_core::coldstore;
+use orochi_core::reports::Reports;
 use orochi_core::streaming::{audit_streaming_source, StreamingAudit};
 use orochi_obs::HistogramSnapshot;
 use orochi_server::server::AuditBundle;
 use orochi_server::{Frontend, FrontendConfig, Server, ServerConfig, ShedPolicy};
-use orochi_trace::{TraceStoreError, TraceStoreReader, TraceStoreSummary, TraceStoreWriter};
+use orochi_trace::{
+    TraceSource, TraceStoreError, TraceStoreReader, TraceStoreSummary, TraceStoreWriter,
+};
 use orochi_workload::Workload;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -69,32 +70,8 @@ pub fn resolve_serve_threads(requested: usize) -> usize {
     }
 }
 
-/// Serving worker count from `OROCHI_SERVE_THREADS`: unset keeps the
-/// historical default of 4 closed-loop workers; `0` or `auto` mean the
-/// available parallelism; explicit values are honored.
-pub fn serve_threads_from_env() -> usize {
-    match std::env::var("OROCHI_SERVE_THREADS") {
-        Ok(v) if v.eq_ignore_ascii_case("auto") || v.is_empty() => resolve_serve_threads(0),
-        Ok(v) => resolve_serve_threads(v.parse::<usize>().unwrap_or_else(|_| {
-            panic!("OROCHI_SERVE_THREADS must be a number or 'auto', got {v:?}")
-        })),
-        Err(_) => 4,
-    }
-}
-
-/// Admission-queue depth from `OROCHI_SERVE_QUEUE`: unset or `0` means
-/// unbounded (no backpressure, no shedding).
-pub fn serve_queue_from_env() -> usize {
-    match std::env::var("OROCHI_SERVE_QUEUE") {
-        Ok(v) if v.is_empty() => 0,
-        Ok(v) => v
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("OROCHI_SERVE_QUEUE must be a queue depth, got {v:?}")),
-        Err(_) => 0,
-    }
-}
-
 /// Serving options.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Front-end worker threads for the measured phase.
     pub threads: usize,
@@ -106,11 +83,13 @@ pub struct ServeOptions {
     pub seed: u64,
 }
 
+/// The serving defaults of [`crate::Config::default`]: four recording
+/// workers, an unbounded queue, seed 42.
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            threads: serve_threads_from_env(),
-            queue_depth: serve_queue_from_env(),
+            threads: 4,
+            queue_depth: 0,
             recording: true,
             seed: 42,
         }
@@ -345,28 +324,56 @@ pub fn resolve_audit_threads(requested: usize) -> usize {
     }
 }
 
-/// Audit worker count from the `OROCHI_AUDIT_THREADS` environment
-/// variable: unset, `0`, or `auto` mean "use every available core";
-/// explicit values are clamped by [`resolve_audit_threads`].
-pub fn audit_threads_from_env() -> usize {
-    match std::env::var("OROCHI_AUDIT_THREADS") {
-        Ok(v) if v.eq_ignore_ascii_case("auto") || v.is_empty() => resolve_audit_threads(0),
-        Ok(v) => resolve_audit_threads(v.parse::<usize>().unwrap_or_else(|_| {
-            panic!("OROCHI_AUDIT_THREADS must be a number or 'auto', got {v:?}")
-        })),
-        Err(_) => resolve_audit_threads(0),
-    }
+/// The audit pool and configuration shared by every audit entry point:
+/// `threads` executors (at least one) over the compiled application,
+/// and the workload's initial state with the requested dedup mode.
+fn audit_setup(work: &AppWorkload, opts: &AuditOptions) -> (AuditConfig, Vec<AccPhpExecutor>) {
+    let mut config = work.audit_config();
+    config.query_dedup = opts.dedup;
+    let scripts = work.app.compile().expect("application compiles");
+    let executors = (0..opts.threads.max(1))
+        .map(|_| {
+            let mut e = AccPhpExecutor::new(scripts.clone());
+            e.force_scalar = !opts.grouped;
+            e
+        })
+        .collect();
+    (config, executors)
 }
 
-/// Records audit-side telemetry once a verdict has landed: the
-/// seal→verdict audit lag (the metric the streaming-epoch audit will
-/// stream per epoch) and the VM dispatch split.
-fn record_audit_obs(outcome: &AuditOutcome) {
+/// Wraps a landed verdict into an [`AuditRun`]: records the audit-side
+/// telemetry (the seal→verdict lag and the VM dispatch split) and
+/// merges the workers' executor statistics.
+fn finish_run(outcome: AuditOutcome, executors: &[AccPhpExecutor], wall: Duration) -> AuditRun {
     orochi_obs::lag::record_verdict();
     orochi_obs::registry::counter("vm_dispatch_executed_total")
         .add(outcome.stats.vm_dispatch_executed);
     orochi_obs::registry::counter("vm_dispatch_represented_total")
         .add(outcome.stats.vm_dispatch_total);
+    let mut exec_stats = ExecutorStats::default();
+    for e in executors {
+        exec_stats.merge(&e.stats);
+    }
+    AuditRun {
+        outcome,
+        exec_stats,
+        wall,
+    }
+}
+
+/// The one batch audit path: [`audit_parallel_source`] over any trace
+/// source, which runs the sequential re-execution directly when the
+/// pool has a single executor.
+fn audit_batch(
+    source: &dyn TraceSource,
+    reports: &Reports,
+    work: &AppWorkload,
+    opts: &AuditOptions,
+) -> Result<AuditRun, Rejection> {
+    let (config, mut executors) = audit_setup(work, opts);
+    let t0 = Instant::now();
+    let outcome = audit_parallel_source(source, reports, &mut executors, &config)?;
+    Ok(finish_run(outcome, &executors, t0.elapsed()))
 }
 
 /// Audits a bundle. `grouped` selects SIMD-on-demand vs the scalar
@@ -390,42 +397,15 @@ pub fn run_audit(
 }
 
 /// Audits a bundle with explicit [`AuditOptions`]. With `threads >= 2`
-/// the control-flow groups re-execute across a worker pool
-/// (`audit_parallel`); verdicts and diagnostics are identical to the
-/// sequential audit at any thread count.
+/// the control-flow groups re-execute across a worker pool; verdicts
+/// and diagnostics are identical to the sequential audit at any thread
+/// count.
 pub fn run_audit_with(
     bundle: &AuditBundle,
     work: &AppWorkload,
     opts: &AuditOptions,
 ) -> Result<AuditRun, Rejection> {
-    let scripts = work.app.compile().expect("application compiles");
-    let mut config = work.audit_config();
-    config.query_dedup = opts.dedup;
-    let threads = opts.threads.max(1);
-    let mut executors: Vec<AccPhpExecutor> = (0..threads)
-        .map(|_| {
-            let mut e = AccPhpExecutor::new(scripts.clone());
-            e.force_scalar = !opts.grouped;
-            e
-        })
-        .collect();
-    let t0 = Instant::now();
-    let outcome = if threads == 1 {
-        audit(&bundle.trace, &bundle.reports, &mut executors[0], &config)?
-    } else {
-        audit_parallel(&bundle.trace, &bundle.reports, &mut executors, &config)?
-    };
-    let wall = t0.elapsed();
-    record_audit_obs(&outcome);
-    let mut exec_stats = ExecutorStats::default();
-    for e in &executors {
-        exec_stats.merge(&e.stats);
-    }
-    Ok(AuditRun {
-        outcome,
-        exec_stats,
-        wall,
-    })
+    audit_batch(&bundle.trace, &bundle.reports, work, opts)
 }
 
 /// Spills a served bundle's trace and reports into a segmented trace
@@ -444,55 +424,16 @@ pub fn spill_bundle(
 }
 
 /// Audits straight from a segmented trace store: the trace streams out
-/// of the sealed segments one at a time ([`audit_source`]) and the
-/// reports load from the sidecar blob. Verdicts and diagnostics are
-/// byte-identical to [`run_audit_with`] over the in-RAM bundle.
+/// of the sealed segments one at a time and the reports load from the
+/// sidecar blob. Verdicts and diagnostics are byte-identical to
+/// [`run_audit_with`] over the in-RAM bundle.
 pub fn run_audit_cold(
     reader: &TraceStoreReader,
     work: &AppWorkload,
     opts: &AuditOptions,
 ) -> Result<AuditRun, Rejection> {
     let reports = coldstore::load_reports(reader).map_err(Rejection::TraceStore)?;
-    let scripts = work.app.compile().expect("application compiles");
-    let mut config = work.audit_config();
-    config.query_dedup = opts.dedup;
-    let threads = opts.threads.max(1);
-    let mut executors: Vec<AccPhpExecutor> = (0..threads)
-        .map(|_| {
-            let mut e = AccPhpExecutor::new(scripts.clone());
-            e.force_scalar = !opts.grouped;
-            e
-        })
-        .collect();
-    let t0 = Instant::now();
-    let outcome = if threads == 1 {
-        audit_source(reader, &reports, &mut executors[0], &config)?
-    } else {
-        audit_parallel_source(reader, &reports, &mut executors, &config)?
-    };
-    let wall = t0.elapsed();
-    record_audit_obs(&outcome);
-    let mut exec_stats = ExecutorStats::default();
-    for e in &executors {
-        exec_stats.merge(&e.stats);
-    }
-    Ok(AuditRun {
-        outcome,
-        exec_stats,
-        wall,
-    })
-}
-
-/// Builds the audit worker pool shared by every audit entry point.
-fn build_executors(work: &AppWorkload, opts: &AuditOptions) -> Vec<AccPhpExecutor> {
-    let scripts = work.app.compile().expect("application compiles");
-    (0..opts.threads.max(1))
-        .map(|_| {
-            let mut e = AccPhpExecutor::new(scripts.clone());
-            e.force_scalar = !opts.grouped;
-            e
-        })
-        .collect()
+    audit_batch(reader, &reports, work, opts)
 }
 
 /// Audits a segmented trace store through the streaming epoch driver
@@ -507,22 +448,10 @@ pub fn run_audit_streaming(
     epoch_events: usize,
 ) -> Result<AuditRun, Rejection> {
     let reports = coldstore::load_reports(reader).map_err(Rejection::TraceStore)?;
-    let mut config = work.audit_config();
-    config.query_dedup = opts.dedup;
-    let mut executors = build_executors(work, opts);
+    let (config, mut executors) = audit_setup(work, opts);
     let t0 = Instant::now();
     let outcome = audit_streaming_source(reader, &reports, &mut executors, &config, epoch_events)?;
-    let wall = t0.elapsed();
-    record_audit_obs(&outcome);
-    let mut exec_stats = ExecutorStats::default();
-    for e in &executors {
-        exec_stats.merge(&e.stats);
-    }
-    Ok(AuditRun {
-        outcome,
-        exec_stats,
-        wall,
-    })
+    Ok(finish_run(outcome, &executors, t0.elapsed()))
 }
 
 /// Result of [`serve_and_audit`].
@@ -558,9 +487,7 @@ pub fn serve_and_audit(
     };
     let (server, serve_wall) = serve_drained(work, serve_opts);
     let bundle = server.into_bundle();
-    let mut config = work.audit_config();
-    config.query_dedup = audit_opts.dedup;
-    let mut executors = build_executors(work, audit_opts);
+    let (config, mut executors) = audit_setup(work, audit_opts);
     let mut writer = TraceStoreWriter::create(dir, segment_bytes).map_err(io_err)?;
     let t0 = Instant::now();
     let mut audit = StreamingAudit::new(&bundle.reports, &config, executors.len());
@@ -584,18 +511,8 @@ pub fn serve_and_audit(
     let reader = TraceStoreReader::open(dir).map_err(Rejection::TraceStore)?;
     let epochs = audit.epochs();
     let outcome = audit.finish(&reader, &mut executors)?;
-    let wall = t0.elapsed();
-    record_audit_obs(&outcome);
-    let mut exec_stats = ExecutorStats::default();
-    for e in &executors {
-        exec_stats.merge(&e.stats);
-    }
     Ok(ServeAudit {
-        run: AuditRun {
-            outcome,
-            exec_stats,
-            wall,
-        },
+        run: finish_run(outcome, &executors, t0.elapsed()),
         serve_wall,
         epochs,
         store,

@@ -15,23 +15,14 @@ use orochi_core::reports::Reports;
 use orochi_core::streaming::audit_streaming_source;
 use orochi_server::server::AuditBundle;
 use orochi_trace::{Event, TraceStoreReader};
-use orochi_workload::{forum, hotcrp, mixed, shop, skew, wiki};
+use orochi_workload::{forum, hotcrp, mixed, shop, wiki, Skew};
 use std::collections::{BTreeMap, HashSet};
 use std::time::{Duration, Instant};
 
-/// Workload scale: the paper's full counts with `OROCHI_FULL=1`,
-/// otherwise a CI-friendly fraction.
-pub fn scale_from_env() -> f64 {
-    match std::env::var("OROCHI_FULL") {
-        Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => 1.0,
-        _ => 0.05,
-    }
-}
-
-/// Builds the shop workload at `scale` (the `OROCHI_WORKLOAD_SKEW` knob
-/// applies, like the paper workloads).
-pub fn shop_workload(scale: f64, seed: u64) -> AppWorkload {
-    let params = shop::Params::scaled(scale).with_skew(&skew::from_env());
+/// Builds the shop workload at `scale` with the skew override applied,
+/// like the paper workloads.
+pub fn shop_workload(scale: f64, seed: u64, skew: &Skew) -> AppWorkload {
+    let params = shop::Params::scaled(scale).with_skew(skew);
     AppWorkload {
         app: orochi_apps::shop::app(),
         workload: shop::generate(&params, seed),
@@ -39,16 +30,14 @@ pub fn shop_workload(scale: f64, seed: u64) -> AppWorkload {
     }
 }
 
-/// Builds the three paper workloads plus the shop at `scale`. The
-/// shared `OROCHI_WORKLOAD_SKEW` knob (Zipf theta, session length)
-/// applies to all four.
-pub fn paper_workloads(scale: f64, seed: u64) -> Vec<AppWorkload> {
-    let sk = skew::from_env();
-    let forum_params = forum::Params::scaled(scale).with_skew(&sk);
+/// Builds the three paper workloads plus the shop at `scale`. The one
+/// skew override (Zipf theta, session length) applies to all four.
+pub fn paper_workloads(scale: f64, seed: u64, skew: &Skew) -> Vec<AppWorkload> {
+    let forum_params = forum::Params::scaled(scale).with_skew(skew);
     vec![
         AppWorkload {
             app: orochi_apps::wiki::app(),
-            workload: wiki::generate(&wiki::Params::scaled(scale).with_skew(&sk), seed),
+            workload: wiki::generate(&wiki::Params::scaled(scale).with_skew(skew), seed),
             seed_sql: Vec::new(),
         },
         AppWorkload {
@@ -58,10 +47,10 @@ pub fn paper_workloads(scale: f64, seed: u64) -> Vec<AppWorkload> {
         },
         AppWorkload {
             app: orochi_apps::hotcrp::app(),
-            workload: hotcrp::generate(&hotcrp::Params::scaled(scale).with_skew(&sk), seed),
+            workload: hotcrp::generate(&hotcrp::Params::scaled(scale).with_skew(skew), seed),
             seed_sql: Vec::new(),
         },
-        shop_workload(scale, seed),
+        shop_workload(scale, seed, skew),
     ]
 }
 
@@ -91,9 +80,9 @@ pub struct Fig8Row {
 }
 
 /// Experiment E1: the Fig. 8 (left) main-results table.
-pub fn fig8_table(scale: f64, seed: u64) -> Vec<Fig8Row> {
+pub fn fig8_table(scale: f64, seed: u64, skew: &Skew, serve_opts: &ServeOptions) -> Vec<Fig8Row> {
     let mut rows = Vec::new();
-    for work in paper_workloads(scale, seed) {
+    for work in paper_workloads(scale, seed, skew) {
         let name = work.app.name;
         // The audited bundle comes from a concurrent serve with
         // recording on (realistic trace concurrency).
@@ -101,7 +90,7 @@ pub fn fig8_table(scale: f64, seed: u64) -> Vec<Fig8Row> {
             &work,
             &ServeOptions {
                 recording: true,
-                ..Default::default()
+                ..*serve_opts
             },
         );
         // Server CPU overhead compares contention-free busy time
@@ -114,7 +103,7 @@ pub fn fig8_table(scale: f64, seed: u64) -> Vec<Fig8Row> {
                     threads: 1,
                     recording,
                     seed: 42,
-                    ..Default::default()
+                    ..*serve_opts
                 },
             )
             .busy
@@ -279,12 +268,13 @@ pub struct SaturationRow {
 pub fn saturation(
     scale: f64,
     seed: u64,
+    skew: &Skew,
     worker_counts: &[usize],
     queue_depth: usize,
     max_requests: usize,
 ) -> Vec<SaturationRow> {
     let mut rows = Vec::new();
-    for mut work in paper_workloads(scale, seed) {
+    for mut work in paper_workloads(scale, seed, skew) {
         if max_requests > 0 {
             work.workload.requests.truncate(max_requests);
         }
@@ -446,11 +436,16 @@ impl Fig9Row {
 }
 
 /// Experiment E3: audit-time CPU decomposition (Fig. 9).
-pub fn fig9_decomposition(scale: f64, seed: u64) -> Vec<Fig9Row> {
+pub fn fig9_decomposition(
+    scale: f64,
+    seed: u64,
+    skew: &Skew,
+    serve_opts: &ServeOptions,
+) -> Vec<Fig9Row> {
     let mut rows = Vec::new();
-    for work in paper_workloads(scale, seed) {
+    for work in paper_workloads(scale, seed, skew) {
         let name = work.app.name;
-        let served = serve(&work, &ServeOptions::default());
+        let served = serve(&work, serve_opts);
         let orochi = run_audit(&served.bundle, &work, true, true)
             .unwrap_or_else(|r| panic!("{name}: audit rejected: {r}"));
         let simple = run_audit(&served.bundle, &work, false, false)
@@ -562,11 +557,17 @@ fn largest_group_share(reports: &Reports) -> f64 {
 /// (the same noise suppression the Fig. 8 serve arms use): CI-scale
 /// audits finish in tens of milliseconds, where one scheduler hiccup on
 /// a shared runner would otherwise swamp the ratio the CI job guards.
-pub fn parallel_speedup(scale: f64, seed: u64, threads: usize) -> Vec<ParallelRow> {
+pub fn parallel_speedup(
+    scale: f64,
+    seed: u64,
+    skew: &Skew,
+    serve_opts: &ServeOptions,
+    threads: usize,
+) -> Vec<ParallelRow> {
     let mut rows = Vec::new();
-    for work in paper_workloads(scale, seed) {
+    for work in paper_workloads(scale, seed, skew) {
         let name = work.app.name;
-        let served = serve(&work, &ServeOptions::default());
+        let served = serve(&work, serve_opts);
         let min_of_two = |opts: &AuditOptions, arm: &str| {
             let a = run_audit_with(&served.bundle, &work, opts)
                 .unwrap_or_else(|r| panic!("{name}: {arm} audit rejected: {r}"));
@@ -662,13 +663,18 @@ pub struct Fig11Summary {
 /// thread counts; `threads = 1` gives the paper's whole groups.
 ///
 /// [`plan_pieces`]: orochi_core::audit::plan_pieces
-pub fn fig11_groups(scale: f64, seed: u64, threads: usize) -> Fig11Summary {
+pub fn fig11_groups(
+    scale: f64,
+    seed: u64,
+    serve_opts: &ServeOptions,
+    threads: usize,
+) -> Fig11Summary {
     let work = AppWorkload {
         app: orochi_apps::wiki::app(),
         workload: wiki::generate(&wiki::Params::scaled(scale), seed),
         seed_sql: Vec::new(),
     };
-    let served = serve(&work, &ServeOptions::default());
+    let served = serve(&work, serve_opts);
     let run = run_audit_with(
         &served.bundle,
         &work,
@@ -744,13 +750,13 @@ pub struct AblationArm {
 
 /// Experiment E7: {SIMD on/off} × {query dedup on/off} on the wiki
 /// workload.
-pub fn ablation(scale: f64, seed: u64) -> Vec<AblationArm> {
+pub fn ablation(scale: f64, seed: u64, serve_opts: &ServeOptions) -> Vec<AblationArm> {
     let work = AppWorkload {
         app: orochi_apps::wiki::app(),
         workload: wiki::generate(&wiki::Params::scaled(scale), seed),
         seed_sql: Vec::new(),
     };
-    let served = serve(&work, &ServeOptions::default());
+    let served = serve(&work, serve_opts);
     let arms = [
         ("grouped+dedup", true, true),
         ("grouped", true, false),
@@ -851,9 +857,15 @@ fn apply_shop_tamper(bundle: &mut AuditBundle, variant: &str) -> bool {
 /// site to tamper with, a variant is *accepted*, or the sequential and
 /// pooled audits disagree — all of which mean the system (or the
 /// workload) broke.
-pub fn shop_experiment(scale: f64, seed: u64, threads: usize) -> ShopReport {
-    let work = shop_workload(scale, seed);
-    let (server, _wall) = serve_drained(&work, &ServeOptions::default());
+pub fn shop_experiment(
+    scale: f64,
+    seed: u64,
+    skew: &Skew,
+    serve_opts: &ServeOptions,
+    threads: usize,
+) -> ShopReport {
+    let work = shop_workload(scale, seed, skew);
+    let (server, _wall) = serve_drained(&work, serve_opts);
     let requests = server.requests_handled();
     // Report assembly: min-of-3 alternating arms on the drained
     // recorder, then consume the server through the sharded stitch.
@@ -935,7 +947,7 @@ pub fn shop_experiment(scale: f64, seed: u64, threads: usize) -> ShopReport {
     ] {
         // Each variant tampers a fresh serve (of the same workload the
         // verifier holds) so mutations don't stack.
-        let mut served = serve(&work, &ServeOptions::default());
+        let mut served = serve(&work, serve_opts);
         assert!(
             apply_shop_tamper(&mut served.bundle, variant),
             "shop workload offers no site for {variant} — grow the workload"
@@ -1045,7 +1057,7 @@ pub fn streaming_equivalence(
     threads: usize,
     epoch_events: usize,
 ) -> Vec<StreamingRow> {
-    let work = shop_workload(scale, seed);
+    let work = shop_workload(scale, seed, &Skew::default());
     let seq_opts = AuditOptions {
         threads: 1,
         ..Default::default()
@@ -1162,8 +1174,8 @@ pub fn print_streaming(rows: &[StreamingRow]) {
 /// one front-end (`orochi_apps::mixed`), requests interleaved by
 /// `orochi_workload::mixed`. The shared skew knob applies to every
 /// tenant.
-pub fn mixed_workload(scale: f64, seed: u64) -> AppWorkload {
-    let params = mixed::Params::scaled(scale).with_skew(&skew::from_env());
+pub fn mixed_workload(scale: f64, seed: u64, skew: &Skew) -> AppWorkload {
+    let params = mixed::Params::scaled(scale).with_skew(skew);
     AppWorkload {
         app: orochi_apps::mixed::app(),
         workload: mixed::generate(&params, seed),
@@ -1238,8 +1250,8 @@ fn campaign_verdict<T>(run: &Result<T, orochi_core::Rejection>) -> String {
     }
 }
 
-/// Experiment E12: the adversarial campaign. Serves the mixed four-app
-/// workload once, spills it to a segmented trace store, and verifies
+/// Experiment E12: the adversarial campaign. Serves `work` (the mixed
+/// four-app workload, [`mixed_workload`]) once, spills it to a segmented trace store, and verifies
 /// the honest control accepts through every path (batch cold at 1 and
 /// `threads` workers, streaming at `threads`). Then, for `campaigns`
 /// seeded runs, clones the honest trace+reports, applies a
@@ -1257,16 +1269,16 @@ fn campaign_verdict<T>(run: &Result<T, orochi_core::Rejection>) -> String {
 /// Panics only on harness misuse: a plan that finds no site to mutate
 /// (the workload is too small) or an honest serve that cannot spill.
 pub fn campaign(
-    scale: f64,
+    work: &AppWorkload,
+    serve_opts: &ServeOptions,
     seed: u64,
     campaigns: usize,
     k: usize,
     threads: usize,
     epoch_events: usize,
 ) -> CampaignReport {
-    let work = mixed_workload(scale, seed);
     let threads = threads.max(1);
-    let served = serve(&work, &ServeOptions::default());
+    let served = serve(work, serve_opts);
     let requests = served.requests;
     let honest_trace = served.bundle.trace.clone();
     let honest_reports = served.bundle.reports.clone();
@@ -1288,9 +1300,9 @@ pub fn campaign(
         ..Default::default()
     };
     let control = [
-        run_audit_cold(&reader, &work, &seq_opts),
-        run_audit_cold(&reader, &work, &par_opts),
-        run_audit_streaming(&reader, &work, &par_opts, epoch_events),
+        run_audit_cold(&reader, work, &seq_opts),
+        run_audit_cold(&reader, work, &par_opts),
+        run_audit_streaming(&reader, work, &par_opts, epoch_events),
     ];
     let honest_ok = control.iter().all(|r| r.is_ok())
         && control
@@ -1333,7 +1345,7 @@ pub fn campaign(
         let sites = plan.apply(&mut trace, &mut reports);
         assert!(
             !sites.is_empty(),
-            "campaign {c}: no mutable site at scale {scale} — grow the workload"
+            "campaign {c}: no mutable site — grow the workload"
         );
         sites_applied += sites.len();
         for s in &sites {
@@ -1417,7 +1429,7 @@ mod tests {
 
     #[test]
     fn fig8_rows_have_sane_shapes() {
-        let rows = fig8_table(0.01, 7);
+        let rows = fig8_table(0.01, 7, &Skew::default(), &ServeOptions::default());
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(
@@ -1434,7 +1446,7 @@ mod tests {
 
     #[test]
     fn fig11_summary_shapes() {
-        let s = fig11_groups(0.02, 3, 1);
+        let s = fig11_groups(0.02, 3, &ServeOptions::default(), 1);
         assert!(s.total_groups > 0);
         assert!(s.groups_gt1 > 0, "Zipf traffic must produce real groups");
         assert!(s.unique_urls > 0);
@@ -1449,7 +1461,7 @@ mod tests {
     fn parallel_speedup_rows_have_sane_shapes() {
         // parallel_speedup itself asserts the parallel counters match
         // the sequential ones; this exercises it at CI scale.
-        let rows = parallel_speedup(0.01, 7, 2);
+        let rows = parallel_speedup(0.01, 7, &Skew::default(), &ServeOptions::default(), 2);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert_eq!(r.threads, 2);
@@ -1461,7 +1473,7 @@ mod tests {
 
     #[test]
     fn saturation_rows_have_sane_shapes() {
-        let rows = saturation(0.01, 7, &[1, 2], 4, 60);
+        let rows = saturation(0.01, 7, &Skew::default(), &[1, 2], 4, 60);
         assert_eq!(rows.len(), 8, "4 apps x 2 worker counts");
         for r in &rows {
             assert!(r.peak_sustained > 0.0, "{}: no capacity measured", r.app);
@@ -1510,7 +1522,8 @@ mod tests {
 
     #[test]
     fn campaign_catches_every_mutant_at_test_scale() {
-        let r = campaign(0.01, 7, 6, 0, 2, 64);
+        let work = mixed_workload(0.01, 7, &Skew::default());
+        let r = campaign(&work, &ServeOptions::default(), 7, 6, 0, 2, 64);
         assert!(r.honest_ok, "honest mixed control must accept on every arm");
         assert_eq!(r.campaigns, 6);
         assert_eq!(r.caught, 6, "survivors: {:?}", r.survivors);
@@ -1522,7 +1535,7 @@ mod tests {
 
     #[test]
     fn mixed_workload_serves_all_tenants() {
-        let work = mixed_workload(0.01, 3);
+        let work = mixed_workload(0.01, 3, &Skew::default());
         assert_eq!(work.app.name, "mixed");
         for t in ["/wiki/", "/forum/", "/hotcrp/", "/shop/"] {
             assert!(
@@ -1535,7 +1548,7 @@ mod tests {
 
     #[test]
     fn ablation_runs_all_arms() {
-        let arms = ablation(0.01, 5);
+        let arms = ablation(0.01, 5, &ServeOptions::default());
         assert_eq!(arms.len(), 4);
         // Dedup arms must answer some SELECTs from cache.
         assert!(arms[0].deduped > 0);

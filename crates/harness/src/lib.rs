@@ -11,9 +11,11 @@
 //! * [`obs`] — telemetry artifact export (`--obs-out`): registry
 //!   snapshot as JSON and Prometheus text, event journal as
 //!   chrome://tracing JSON.
+//! * [`config`] — the one typed [`Config`]: each binary loads it once
+//!   from the `OROCHI_*` variables and its flags, then passes it down.
 //!
-//! Workload sizes default to a CI-friendly scale; set `OROCHI_FULL=1`
-//! for the paper's full request counts.
+//! Workload sizes default to a CI-friendly scale; `--full` (or
+//! `OROCHI_FULL=1`) selects the paper's full request counts.
 
 pub mod config;
 pub mod driver;
@@ -24,11 +26,9 @@ pub mod tamper;
 
 pub use config::{Config, Threads};
 pub use driver::{
-    audit_threads_from_env, resolve_audit_threads, resolve_serve_threads, run_audit,
-    run_audit_cold, run_audit_streaming, run_audit_with, serve, serve_and_audit, serve_drained,
-    serve_open_loop, serve_open_loop_with, serve_queue_from_env, serve_threads_from_env,
+    resolve_audit_threads, resolve_serve_threads, run_audit, run_audit_cold, run_audit_streaming,
+    run_audit_with, serve, serve_and_audit, serve_drained, serve_open_loop, serve_open_loop_with,
     spill_bundle, AppWorkload, AuditOptions, AuditRun, OpenLoopOptions, ServeAudit, ServeOptions,
     ServeResult,
 };
-pub use experiments::scale_from_env;
 pub use obs::export_obs;

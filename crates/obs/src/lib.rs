@@ -34,9 +34,10 @@
 //!   atomic RMW — the same primitive the server already uses for
 //!   `busy_ns` — so hot paths increment them unconditionally.
 //! * **Anything that needs a clock is gated on [`enabled`].** Spans,
-//!   admission-wait timestamps, and journal pushes only run when
-//!   `OROCHI_OBS` turned the layer on; the disabled path is a single
-//!   relaxed atomic load.
+//!   admission-wait timestamps, and journal pushes only run when the
+//!   layer was turned on with [`set_enabled`] (a binary does so from
+//!   its configuration's `--obs` / `OROCHI_OBS`); the disabled path is
+//!   a single relaxed atomic load.
 //! * The journal is bounded per lane (oldest events overwritten), so
 //!   an enabled long run cannot grow without bound.
 
@@ -52,33 +53,24 @@ pub use registry::{
 };
 pub use span::{span, span_timed, Span};
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// 0 = not yet read from the environment, 1 = off, 2 = on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether the clock-bearing side of the telemetry layer (spans,
-/// journal, admission-wait timestamps) is on. Initialized lazily from
-/// `OROCHI_OBS` (`1`/`true` = on); [`set_enabled`] overrides it. The
-/// disabled fast path is a single relaxed atomic load.
+/// journal, admission-wait timestamps) is on. Off until
+/// [`set_enabled`] turns it on; this crate never reads the
+/// environment. The disabled fast path is a single relaxed atomic
+/// load.
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let on = matches!(std::env::var("OROCHI_OBS"),
-                              Ok(v) if v == "1" || v.eq_ignore_ascii_case("true"));
-            ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns the clock-bearing telemetry on or off, overriding the
-/// environment. Counters and gauges record regardless.
+/// Turns the clock-bearing telemetry on or off. Counters and gauges
+/// record regardless.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 #[cfg(test)]

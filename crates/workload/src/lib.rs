@@ -15,14 +15,14 @@
 //!   products, Poisson-interleaved browse/add/checkout/abandon
 //!   sessions) that front-loads the register and KV audit paths.
 //!
-//! All four share the [`skew`] knob (`OROCHI_WORKLOAD_SKEW`): one Zipf
+//! All four share the [`skew`] knob (a [`Skew`] passed in): one Zipf
 //! `theta` over each workload's popularity axis plus a session-length
 //! multiplier, so experiments sweep the same parameter space.
 //!
 //! Each generator produces a `Vec<HttpRequest>` the driver replays; all
 //! sampling is seeded, so workloads are reproducible. The `scale`
-//! parameter shrinks request counts for CI-sized runs
-//! (`OROCHI_FULL=1` in the harness selects scale 1.0).
+//! parameter shrinks request counts for CI-sized runs (the harness
+//! `Config` selects scale 1.0 under `--full` / `OROCHI_FULL=1`).
 
 pub mod forum;
 pub mod hotcrp;

@@ -8,11 +8,13 @@
 //! thing" is, and a session-length multiplier for how many requests a
 //! logged-in session issues before it ends.
 //!
-//! The knob comes from the `OROCHI_WORKLOAD_SKEW` environment variable
-//! (`"theta"`, `"theta,session_len"`, or `",session_len"`) or from the
-//! `--skew` / `--session-len` flags of the bench binaries, which set the
-//! same variable. Unset fields leave the generator's default untouched,
-//! so the paper's published parameters remain the defaults everywhere.
+//! The generators take the knob as a [`Skew`] value (`Params::with_skew`);
+//! this crate never reads the environment. Binaries parse it once from
+//! `OROCHI_WORKLOAD_SKEW` (`"theta"`, `"theta,session_len"`, or
+//! `",session_len"`) or the `--skew` / `--session-len` flags, through
+//! the harness `Config`. Unset fields leave the generator's default
+//! untouched, so the paper's published parameters remain the defaults
+//! everywhere.
 
 /// A parsed skew override. `None` fields keep the workload defaults.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -76,21 +78,6 @@ impl Skew {
             Some(f) => ((base as f64 * f).round() as usize).max(1),
             None => base,
         }
-    }
-}
-
-/// Reads the skew knob from `OROCHI_WORKLOAD_SKEW`.
-///
-/// # Panics
-///
-/// Panics on a malformed value — a silently ignored sweep parameter
-/// would corrupt an experiment.
-pub fn from_env() -> Skew {
-    match std::env::var("OROCHI_WORKLOAD_SKEW") {
-        Ok(raw) => {
-            Skew::parse(&raw).unwrap_or_else(|e| panic!("OROCHI_WORKLOAD_SKEW invalid: {e}"))
-        }
-        Err(_) => Skew::default(),
     }
 }
 

@@ -18,6 +18,7 @@ use orochi::harness::mutation::{MutationPlan, MutationSite};
 use orochi::php::CompiledScript;
 use orochi::state::{ObjectName, OpContents, OpLog, OpLogEntry, OpLogs};
 use orochi::trace::{Event, HttpRequest, HttpResponse, Trace};
+use orochi::workload::Skew;
 use orochi_common::ids::{CtlFlowTag, OpNum, RequestId};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -40,7 +41,7 @@ type Fixture = (
 fn fixture() -> &'static Fixture {
     static CELL: OnceLock<Fixture> = OnceLock::new();
     CELL.get_or_init(|| {
-        let work = mixed_workload(0.004, 21);
+        let work = mixed_workload(0.004, 21, &Skew::default());
         let scripts = work.app.compile().expect("mixed app compiles");
         let served = serve(&work, &ServeOptions::default());
         let mut config = work.audit_config();

@@ -11,9 +11,10 @@ use orochi::harness::{
 };
 use orochi::server::server::AuditBundle;
 use orochi::server::{Server, ServerConfig};
+use orochi::workload::Skew;
 
 fn shop() -> AppWorkload {
-    shop_workload(0.02, 11)
+    shop_workload(0.02, 11, &Skew::default())
 }
 
 /// The reference: every request handled sequentially on this thread.

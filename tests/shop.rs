@@ -237,7 +237,13 @@ fn shop_experiment_end_to_end() {
     // The harness experiment bundles all of the above for the bench bin:
     // honest accept at 1 and `threads`, every tamper rejected with
     // matching diagnostics, and the register/KV share measured.
-    let report = orochi::harness::experiments::shop_experiment(0.02, 23, 8);
+    let report = orochi::harness::experiments::shop_experiment(
+        0.02,
+        23,
+        &orochi::workload::Skew::default(),
+        &ServeOptions::default(),
+        8,
+    );
     assert!(report.requests > 0);
     assert!(
         report.reg_kv_share >= 0.5,

@@ -21,6 +21,7 @@ use orochi::harness::driver::{
 use orochi::harness::experiments::shop_workload;
 use orochi::harness::tamper;
 use orochi::trace::{Event, TraceStoreReader};
+use orochi::workload::Skew;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -52,7 +53,7 @@ const VARIANTS: [&str; 4] = [
 fn fixture() -> &'static (AppWorkload, Vec<PathBuf>) {
     static CELL: OnceLock<(AppWorkload, Vec<PathBuf>)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let work = shop_workload(0.01, 42);
+        let work = shop_workload(0.01, 42, &Skew::default());
         let dirs = VARIANTS
             .iter()
             .map(|variant| {
