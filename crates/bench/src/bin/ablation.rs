@@ -3,8 +3,8 @@
 //!
 //! Usage: `cargo run --release -p orochi_bench --bin ablation [flags]`
 //! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
-//! variables apply; this bin reads `--full` and `--serve-threads` /
-//! `--queue-depth`).
+//! variables apply; this bin reads `--full`, `--skew` /
+//! `--session-len` and `--serve-threads` / `--queue-depth`).
 
 use orochi_harness::experiments::ablation;
 use orochi_harness::Config;
@@ -18,7 +18,7 @@ fn main() {
         "{:<20} {:>10} {:>10} {:>10} {:>14} {:>14}",
         "arm", "wall(s)", "deduped", "issued", "vm-dispatched", "vm-executed"
     );
-    for arm in ablation(scale, 42, &config.serve_options()) {
+    for arm in ablation(scale, 42, &config.skew, &config.serve_options()) {
         println!(
             "{:<20} {:>10.3} {:>10} {:>10} {:>14} {:>14}",
             arm.label,

@@ -24,16 +24,11 @@
 
 use orochi_bench::json::Json;
 use orochi_harness::experiments::{campaign, mixed_workload, print_campaign};
-use orochi_harness::{Config, Threads};
+use orochi_harness::Config;
 
 fn main() {
     let config = Config::load("campaign");
-    // An explicit --audit-threads is honored unclamped; auto resolves
-    // to the hardware.
-    let threads = match config.audit_threads {
-        Threads::Exact(n) if n > 0 => n,
-        _ => config.resolved_audit_threads(),
-    };
+    let threads = config.resolved_audit_threads();
     let campaigns = if config.campaigns != 0 {
         config.campaigns
     } else if config.full {

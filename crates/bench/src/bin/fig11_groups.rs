@@ -4,7 +4,8 @@
 //! Usage: `cargo run --release -p orochi_bench --bin fig11_groups [flags]`
 //! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
 //! variables apply; `--audit-threads` selects the audit worker pool,
-//! `--full` the scale, `--serve-threads` / `--queue-depth` the serve).
+//! `--full` the scale, `--skew` / `--session-len` the workload skew,
+//! `--serve-threads` / `--queue-depth` the serve).
 //! The triples
 //! are per executed piece: a pooled audit cuts a group larger than its
 //! fair share of the requests into pieces, so they are deterministic
@@ -22,6 +23,6 @@ fn main() {
     println!(
         "== Fig. 11: control-flow groups, wiki workload (scale {scale}, {threads} audit threads) =="
     );
-    let summary = fig11_groups(scale, 42, &config.serve_options(), threads);
+    let summary = fig11_groups(scale, 42, &config.skew, &config.serve_options(), threads);
     print_fig11(&summary);
 }

@@ -3,7 +3,8 @@
 //!
 //! Usage: `cargo run --release -p orochi_bench --bin fig8_latency [flags]`
 //! (the shared [`orochi_harness::Config`] flags and `OROCHI_*`
-//! variables apply; this bin reads `--full`).
+//! variables apply; this bin reads `--full` and `--skew` /
+//! `--session-len`).
 
 use orochi_harness::experiments::fig8_latency;
 use orochi_harness::Config;
@@ -20,7 +21,7 @@ fn main() {
             "{:>10} {:>12} {:>9} {:>9} {:>9}",
             "rate", "throughput", "p50(ms)", "p90(ms)", "p99(ms)"
         );
-        for point in fig8_latency(scale, 42, &rates, recording) {
+        for point in fig8_latency(scale, 42, &config.skew, &rates, recording) {
             println!(
                 "{:>10.0} {:>12.1} {:>9.2} {:>9.2} {:>9.2}",
                 point.offered_rate, point.throughput, point.p50_ms, point.p90_ms, point.p99_ms

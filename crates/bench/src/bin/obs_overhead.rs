@@ -23,10 +23,10 @@
 //!   exactly with the spill summary — all asserted in-bin.
 
 use orochi_bench::json::Json;
+use orochi_core::coldstore;
 use orochi_harness::experiments::shop_workload;
 use orochi_harness::{
-    export_obs, run_audit_cold, serve, spill_bundle, AppWorkload, AuditOptions, Config,
-    ServeOptions,
+    export_obs, run_audit, serve, spill_bundle, AppWorkload, AuditOptions, Config, ServeOptions,
 };
 use orochi_obs::{journal, registry};
 use orochi_trace::{TraceStoreReader, TraceStoreSummary, DEFAULT_SEGMENT_BYTES};
@@ -57,7 +57,8 @@ fn run_pipeline(
         threads,
         ..Default::default()
     };
-    let run = run_audit_cold(&reader, work, &opts)
+    let reports = coldstore::load_reports(&reader).expect("load reports");
+    let run = run_audit(&reader, &reports, work, &opts)
         .unwrap_or_else(|r| panic!("obs_overhead audit rejected: {r}"));
     assert!(run.outcome.stats.requests_reexecuted > 0);
     (t0.elapsed(), summary)

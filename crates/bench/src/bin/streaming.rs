@@ -24,11 +24,11 @@
 
 use orochi_bench::json::Json;
 use orochi_common::metrics::{alloc_tracking, TrackingAllocator};
-use orochi_core::Rejection;
+use orochi_core::{coldstore, Rejection};
 use orochi_harness::experiments::shop_workload;
 use orochi_harness::{
-    run_audit_cold, run_audit_streaming, serve, serve_and_audit, spill_bundle, AuditOptions,
-    AuditRun, Config, Threads,
+    run_audit, run_audit_streaming, serve, serve_and_audit, spill_bundle, AuditOptions, AuditRun,
+    Config,
 };
 use orochi_trace::{TraceStoreReader, DEFAULT_SEGMENT_BYTES};
 use std::time::Instant;
@@ -45,13 +45,7 @@ fn verdict(run: &Result<AuditRun, Rejection>) -> String {
 
 fn main() {
     let config = Config::load("streaming");
-    // An explicit --audit-threads is honored unclamped (measurement
-    // bins want the requested pool even on small runners); auto
-    // resolves to the hardware.
-    let threads = match config.audit_threads {
-        Threads::Exact(n) if n > 0 => n,
-        _ => config.resolved_audit_threads(),
-    };
+    let threads = config.resolved_audit_threads();
     let epoch_events = if config.epoch_events != 0 {
         config.epoch_events
     } else if config.full {
@@ -90,7 +84,9 @@ fn main() {
     let floor = alloc_tracking::current_bytes();
     alloc_tracking::reset_peak();
     let t0 = Instant::now();
-    let batch = run_audit_cold(&reader, &work, &opts);
+    let batch = coldstore::load_reports(&reader)
+        .map_err(Rejection::TraceStore)
+        .and_then(|reports| run_audit(&reader, &reports, &work, &opts));
     let batch_wall = t0.elapsed();
     let batch_peak = alloc_tracking::peak_bytes().saturating_sub(floor);
     let batch_verdict = verdict(&batch);
@@ -100,7 +96,9 @@ fn main() {
     let floor = alloc_tracking::current_bytes();
     alloc_tracking::reset_peak();
     let t0 = Instant::now();
-    let streaming = run_audit_streaming(&reader, &work, &opts, epoch_events);
+    let streaming = coldstore::load_reports(&reader)
+        .map_err(Rejection::TraceStore)
+        .and_then(|reports| run_audit_streaming(&reader, &reports, &work, &opts, epoch_events));
     let streaming_wall = t0.elapsed();
     let streaming_peak = alloc_tracking::peak_bytes().saturating_sub(floor);
     let streaming_verdict = verdict(&streaming);

@@ -23,8 +23,9 @@
 //!   auditor's resident ingest buffer.
 
 use orochi_bench::json::Json;
+use orochi_core::{coldstore, Rejection};
 use orochi_harness::experiments::shop_workload;
-use orochi_harness::{run_audit_cold, run_audit_with, serve, spill_bundle, AuditOptions, Config};
+use orochi_harness::{run_audit, serve, spill_bundle, AuditOptions, Config};
 use orochi_trace::{TraceStoreReader, DEFAULT_SEGMENT_BYTES};
 use std::time::Instant;
 
@@ -66,7 +67,7 @@ fn main() {
         threads,
         ..Default::default()
     };
-    let ram = run_audit_with(&served.bundle, &work, &opts);
+    let ram = run_audit(&served.bundle.trace, &served.bundle.reports, &work, &opts);
     let ram_wall = ram.as_ref().map(|r| r.wall).unwrap_or_default();
 
     // Cold path: the in-RAM trace is dropped before the audit replays
@@ -79,7 +80,9 @@ fn main() {
     drop(bundle);
     let t0 = Instant::now();
     let reader = TraceStoreReader::open(&dir).expect("open store");
-    let cold = run_audit_cold(&reader, &work, &opts);
+    let cold = coldstore::load_reports(&reader)
+        .map_err(Rejection::TraceStore)
+        .and_then(|reports| run_audit(&reader, &reports, &work, &opts));
     let cold_wall = t0.elapsed();
     let cold_verdict = match &cold {
         Ok(run) => format!("accept:{}", run.outcome.stats.requests_reexecuted),

@@ -25,8 +25,8 @@
 //!
 //! After the prologue (phases 1–3), control-flow groups touch disjoint
 //! per-request state and only *read* the shared prologue products (the
-//! OpMap, the operation logs, and the versioned stores). [`audit_parallel`]
-//! exploits that: the prologue's store builds are sharded by object across
+//! OpMap, the operation logs, and the versioned stores).
+//! [`audit_parallel_source`] exploits that: the prologue's store builds are sharded by object across
 //! a bounded pool of scoped threads, and the groups are then re-executed
 //! by the same pool, one [`AuditContext`] per worker over one shared
 //! [`AuditShared`]. The pool's unit of work is a **piece**: [`plan_pieces`]
@@ -43,7 +43,7 @@
 //! epoch sub-groups through the same planner, pool, and confirmation.
 
 use crate::exec::{DbQueryResult, DbTxnHandle, GroupExecutor, SimResult};
-use crate::graph::{process_op_reports, process_op_reports_with, GraphRejection, OpMap};
+use crate::graph::{process_op_reports_with, GraphRejection, OpMap};
 use crate::nondet::NondetValue;
 use crate::reports::Reports;
 use orochi_common::ids::{CtlFlowTag, OpNum, RequestId, SeqNum};
@@ -51,7 +51,7 @@ use orochi_common::metrics::PhaseTimer;
 use orochi_sqldb::{Database, ExecOutcome, RedoError, RedoStats, VersionedDb, MAXQ};
 use orochi_state::object::{ObjectName, OpContents, OpType};
 use orochi_state::versioned_kv::VersionedKv;
-use orochi_trace::record::{BalanceError, BalancedTrace, RidInterner, Trace};
+use orochi_trace::record::{BalanceError, BalancedTrace, RidInterner};
 use orochi_trace::{HttpRequest, HttpResponse, TraceReadError, TraceSource, TraceStoreError};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -664,27 +664,15 @@ impl<'a> AuditContext<'a> {
     /// Runs the audit prologue standalone: balance check, report
     /// processing (Fig. 5), nondeterminism validation, and the versioned
     /// store builds — yielding a context ready for re-execution.
-    /// `audit()` uses the same machinery internally; benchmarks and
-    /// executor tests use this to drive a [`GroupExecutor`] directly.
+    /// `audit()` runs the same prologue; benchmarks and executor tests
+    /// use this to drive a [`GroupExecutor`] directly.
     pub fn prepare(
         source: &dyn TraceSource,
         reports: &'a Reports,
         config: &'a AuditConfig,
     ) -> Result<AuditContext<'a>, Rejection> {
-        let balanced = match source.as_balanced() {
-            Some(balanced) => Cow::Borrowed(balanced),
-            None => BalancedTrace::from_source(source)
-                .map(Cow::Owned)
-                .map_err(Rejection::from_read)?,
-        };
-        let (graph, opmap) = process_op_reports(&balanced, reports)?;
-        reports
-            .nondet
-            .validate()
-            .map_err(Rejection::NondetInvalid)?;
-        let mut shared = AuditShared::build(reports, opmap, config, 1)?;
-        shared.record_graph(&graph);
-        Ok(AuditContext::from_shared(Arc::new(shared)))
+        let (_, shared) = prologue(source, reports, config, 1, &mut PhaseTimer::new())?;
+        Ok(AuditContext::from_shared(shared))
     }
 
     pub(crate) fn from_shared(shared: Arc<AuditShared<'a>>) -> Self {
@@ -1223,39 +1211,25 @@ pub(crate) struct PreparedGroup {
     pub(crate) requests: Vec<(RequestId, HttpRequest)>,
 }
 
-/// Deterministic grouping pre-pass: walks `reports.groupings` in order,
-/// filters requests already claimed by an earlier group (re-execution is
-/// idempotent, so duplicate filtering is an optimization, not a check,
-/// §3.1), and stops at the first request the trace does not contain.
-/// The returned rejection — if any — only fires after every *earlier*
-/// prepared group re-executed cleanly, which is exactly when the
-/// sequential audit would have reached it.
+/// Deterministic grouping pre-pass: resolves [`Reports::claimed_groups`]
+/// against the trace and stops at the first request the trace does not
+/// contain. The returned rejection — if any — only fires after every
+/// *earlier* prepared group re-executed cleanly, which is exactly when
+/// the sequential audit would have reached it.
 fn prepare_groups(
     balanced: &BalancedTrace,
     reports: &Reports,
 ) -> (Vec<PreparedGroup>, Option<Rejection>) {
-    let mut claimed: HashSet<RequestId> = HashSet::new();
     let mut out = Vec::new();
-    for (tag, rids) in &reports.groupings {
-        let mut group_requests = Vec::new();
-        let mut seen_in_group = HashSet::new();
+    for (tag, rids) in reports.claimed_groups() {
+        let mut requests = Vec::with_capacity(rids.len());
         for rid in rids {
-            if claimed.contains(rid) || !seen_in_group.insert(*rid) {
-                continue;
+            if !balanced.contains(rid) {
+                return (out, Some(Rejection::GroupUnknownRequest { rid }));
             }
-            if !balanced.contains(*rid) {
-                return (out, Some(Rejection::GroupUnknownRequest { rid: *rid }));
-            }
-            group_requests.push((*rid, balanced.request(*rid).clone()));
+            requests.push((rid, balanced.request(rid).clone()));
         }
-        if group_requests.is_empty() {
-            continue;
-        }
-        claimed.extend(group_requests.iter().map(|(r, _)| *r));
-        out.push(PreparedGroup {
-            tag: *tag,
-            requests: group_requests,
-        });
+        out.push(PreparedGroup { tag, requests });
     }
     (out, None)
 }
@@ -1385,13 +1359,14 @@ impl PoolRun {
     }
 }
 
-/// The group re-execution pool both engines share. Workers pull pieces
-/// off a shared cursor (dynamic load balancing), largest first (LPT),
-/// each through one [`AuditContext`] rebuilt from its carry in
-/// `carries` (one slot per executor) and torn back into it at the end.
-/// Every piece runs — a failure does not stop the pool — so the outcome
-/// is independent of schedule order. With one executor or one piece the
-/// pieces run in order on the calling thread and no threads spawn.
+/// The group re-execution pool both engines share. Each worker runs one
+/// body: it pulls pieces off a shared cursor (dynamic load balancing)
+/// through one [`AuditContext`] rebuilt from its carry in `carries` (one
+/// slot per executor) and torn back into it at the end. Every piece runs
+/// — a failure does not stop the pool — so the outcome is independent of
+/// schedule order. With one executor (or one piece) that body runs the
+/// pieces in plan order on the calling thread; otherwise it is spawned
+/// once per worker and the pieces go largest first (LPT).
 pub(crate) fn execute_pieces<E: GroupExecutor + Send>(
     shared: &Arc<AuditShared<'_>>,
     pieces: &[Piece<'_>],
@@ -1399,47 +1374,40 @@ pub(crate) fn execute_pieces<E: GroupExecutor + Send>(
     carries: &mut [AuditCarry],
 ) -> PoolRun {
     let group_ns = orochi_obs::registry::histogram("audit_group_ns");
-    if executors.len() == 1 || pieces.len() < 2 {
+    let workers = executors.len().min(pieces.len()).max(1);
+    let mut schedule: Vec<usize> = (0..pieces.len()).collect();
+    if workers > 1 {
+        schedule.sort_by_key(|&k| std::cmp::Reverse(pieces[k].requests.len()));
+    }
+    let cursor = AtomicUsize::new(0);
+    let work = |w: usize, executor: &mut E, carry: &mut AuditCarry| {
         let t0 = Instant::now();
-        let lane = orochi_obs::enabled().then(|| orochi_obs::journal::lane("audit-worker-0"));
-        let carry = std::mem::take(&mut carries[0]);
-        let mut ctx = AuditContext::from_shared_with_carry(Arc::clone(shared), carry);
+        let lane =
+            orochi_obs::enabled().then(|| orochi_obs::journal::lane(&format!("audit-worker-{w}")));
+        let prior = std::mem::take(carry);
+        let mut ctx = AuditContext::from_shared_with_carry(Arc::clone(shared), prior);
         let mut run = PoolRun::default();
-        for piece in pieces {
+        while let Some(&k) = schedule.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let piece = &pieces[k];
             let span = lane.and_then(|l| orochi_obs::span_timed(l, "group", group_ns));
-            let result = run_one_group(&mut executors[0], &mut ctx, piece.tag, piece.requests);
+            let result = run_one_group(&mut *executor, &mut ctx, piece.tag, piece.requests);
             drop(span);
             run.record(piece, result);
         }
-        carries[0] = ctx.into_carry();
+        *carry = ctx.into_carry();
         run.busy = t0.elapsed();
-        return run;
+        run
+    };
+    if workers == 1 {
+        return work(0, &mut executors[0], &mut carries[0]);
     }
-    let mut schedule: Vec<usize> = (0..pieces.len()).collect();
-    schedule.sort_by_key(|&k| std::cmp::Reverse(pieces[k].requests.len()));
-    let cursor = AtomicUsize::new(0);
     let merged: Mutex<PoolRun> = Mutex::new(PoolRun::default());
     crossbeam::thread::scope(|s| {
-        for (w, (executor, carry)) in executors.iter_mut().zip(carries.iter_mut()).enumerate() {
-            let (cursor, merged, schedule) = (&cursor, &merged, &schedule);
+        let slots = executors.iter_mut().zip(carries.iter_mut()).take(workers);
+        for (w, (executor, carry)) in slots.enumerate() {
+            let (work, merged) = (&work, &merged);
             s.spawn(move |_| {
-                let lane = orochi_obs::enabled()
-                    .then(|| orochi_obs::journal::lane(&format!("audit-worker-{w}")));
-                let worker_t0 = Instant::now();
-                let prior = std::mem::take(carry);
-                let mut ctx = AuditContext::from_shared_with_carry(Arc::clone(shared), prior);
-                let mut local = PoolRun::default();
-                loop {
-                    let next = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&k) = schedule.get(next) else { break };
-                    let piece = &pieces[k];
-                    let span = lane.and_then(|l| orochi_obs::span_timed(l, "group", group_ns));
-                    let result = run_one_group(&mut *executor, &mut ctx, piece.tag, piece.requests);
-                    drop(span);
-                    local.record(piece, result);
-                }
-                *carry = ctx.into_carry();
-                local.busy = worker_t0.elapsed();
+                let local = work(w, executor, carry);
                 merged.lock().expect("pool results poisoned").merge(local);
             });
         }
@@ -1492,8 +1460,10 @@ fn compare_outputs(
     Ok(())
 }
 
-/// Folds the redo statistics and store sizes into the final outcome,
-/// and mirrors the phase walls and dispatch counters into the
+/// The one place every engine's verdict is assembled: folds the worker
+/// `carries` into the counters, fills the re-execution phase rows from
+/// the summed worker busy time `reexec_busy`, adds the redo statistics
+/// and store sizes, and mirrors the phase walls and counters into the
 /// telemetry registry — the single write point, so fig9 consumers can
 /// read either the per-run `PhaseTimer` or the process-wide metrics
 /// and see the same accounting. `groups` is the prepared-group count:
@@ -1501,10 +1471,22 @@ fn compare_outputs(
 /// the pool cut them into pieces or the stream into sub-groups.
 pub(crate) fn assemble_outcome(
     shared: &AuditShared<'_>,
-    mut stats: AuditStats,
-    phases: PhaseTimer,
+    carries: &[AuditCarry],
+    reexec_busy: Duration,
+    mut phases: PhaseTimer,
     groups: usize,
 ) -> AuditOutcome {
+    // Counter sums are order-independent, so the merged statistics are
+    // deterministic even though workers finish in arbitrary order.
+    let mut stats = AuditStats::default();
+    for carry in carries {
+        stats.absorb(&carry.stats);
+    }
+    // Phase rows keep Fig. 9's CPU-decomposition meaning: summed worker
+    // busy time, not wall time, split into the DB-query share and the
+    // rest of re-execution.
+    phases.add("DB query", stats.db_query_wall);
+    phases.add("ReExec", reexec_busy.saturating_sub(stats.db_query_wall));
     stats.groups_executed = groups;
     stats.phases = phases;
     stats.graph_nodes = shared.graph_nodes;
@@ -1560,8 +1542,8 @@ fn mirror_stats_into_registry(stats: &AuditStats) {
     }
     registry::counter("audit_groups_executed_total").add(stats.groups_executed as u64);
     registry::counter("audit_requests_reexecuted_total").add(stats.requests_reexecuted as u64);
-    registry::counter("audit_vm_dispatch_represented_total").add(stats.vm_dispatch_total);
-    registry::counter("audit_vm_dispatch_executed_total").add(stats.vm_dispatch_executed);
+    registry::counter("vm_dispatch_represented_total").add(stats.vm_dispatch_total);
+    registry::counter("vm_dispatch_executed_total").add(stats.vm_dispatch_executed);
 }
 
 impl Rejection {
@@ -1618,25 +1600,17 @@ fn prologue<'t, 'a>(
     Ok((balanced, Arc::new(shared)))
 }
 
-/// Runs the full audit (`SSCO_AUDIT2`, Fig. 12).
-///
-/// Returns statistics on acceptance; rejects with a precise reason
-/// otherwise. Groups are re-executed one at a time; see
-/// [`audit_parallel`] for the pooled variant.
-pub fn audit(
-    trace: &Trace,
-    reports: &Reports,
-    executor: &mut dyn GroupExecutor,
-    config: &AuditConfig,
-) -> Result<AuditOutcome, Rejection> {
-    audit_source(trace, reports, executor, config)
-}
-
-/// [`audit`] over any [`TraceSource`] — the in-memory [`Trace`], a
+/// Runs the full audit (`SSCO_AUDIT2`, Fig. 12) over any
+/// [`TraceSource`]: the in-memory [`orochi_trace::Trace`], a
 /// pre-balanced replay, or a [`orochi_trace::TraceStoreReader`] that
 /// streams sealed on-disk segments. Verdicts and diagnostics are
 /// byte-identical across sources holding the same events.
-pub fn audit_source(
+///
+/// Returns statistics on acceptance; rejects with a precise reason
+/// otherwise. Groups are re-executed one at a time, stopping at the
+/// first failure — the sequential reference the pooled
+/// [`audit_parallel_source`] and the streaming engine are held to.
+pub fn audit(
     source: &dyn TraceSource,
     reports: &Reports,
     executor: &mut dyn GroupExecutor,
@@ -1649,7 +1623,7 @@ pub fn audit_source(
 }
 
 /// The sequential re-execution tail shared by [`audit`] and the
-/// small-run fallback of [`audit_parallel`].
+/// one-executor case of [`audit_parallel_source`].
 fn reexec_sequential(
     balanced: &BalancedTrace,
     shared: &Arc<AuditShared<'_>>,
@@ -1675,23 +1649,26 @@ fn reexec_sequential(
         // the first error the sequential walk reaches.
         return Err(rejection);
     }
-    let reexec_total = reexec_t0.elapsed();
-    phases.add("DB query", ctx.stats.db_query_wall);
-    phases.add(
-        "ReExec",
-        reexec_total.saturating_sub(ctx.stats.db_query_wall),
-    );
+    let reexec_busy = reexec_t0.elapsed();
 
     let output_check = Instant::now();
     compare_outputs(balanced, &produced)?;
     phases.add("Output", output_check.elapsed());
 
-    Ok(assemble_outcome(shared, ctx.stats, phases, prepared.len()))
+    let carry = ctx.into_carry();
+    Ok(assemble_outcome(
+        shared,
+        std::slice::from_ref(&carry),
+        reexec_busy,
+        phases,
+        prepared.len(),
+    ))
 }
 
-/// Runs the full audit with group re-execution fanned out across
-/// `executors.len()` worker threads (one [`GroupExecutor`] and one
-/// [`AuditContext`] per worker over a single shared prologue).
+/// Runs the full audit over any [`TraceSource`] (see [`audit`]) with
+/// group re-execution fanned out across `executors.len()` worker threads
+/// (one [`GroupExecutor`] and one [`AuditContext`] per worker over a
+/// single shared prologue).
 ///
 /// Verdicts and failure diagnostics are byte-identical to [`audit`]:
 /// groups are fixed up front by the same deterministic pre-pass and cut
@@ -1707,21 +1684,6 @@ fn reexec_sequential(
 /// # Panics
 ///
 /// Panics if `executors` is empty.
-pub fn audit_parallel<E: GroupExecutor + Send>(
-    trace: &Trace,
-    reports: &Reports,
-    executors: &mut [E],
-    config: &AuditConfig,
-) -> Result<AuditOutcome, Rejection> {
-    audit_parallel_source(trace, reports, executors, config)
-}
-
-/// [`audit_parallel`] over any [`TraceSource`]; see [`audit_source`]
-/// for the source contract.
-///
-/// # Panics
-///
-/// Panics if `executors` is empty.
 pub fn audit_parallel_source<E: GroupExecutor + Send>(
     source: &dyn TraceSource,
     reports: &Reports,
@@ -1730,7 +1692,7 @@ pub fn audit_parallel_source<E: GroupExecutor + Send>(
 ) -> Result<AuditOutcome, Rejection> {
     assert!(
         !executors.is_empty(),
-        "audit_parallel requires at least one executor"
+        "audit_parallel_source requires at least one executor"
     );
     let threads = executors.len();
     let mut phases = PhaseTimer::new();
@@ -1756,12 +1718,6 @@ pub fn audit_parallel_source<E: GroupExecutor + Send>(
         .collect();
     let mut carries: Vec<AuditCarry> = (0..threads).map(|_| AuditCarry::default()).collect();
     let run = execute_pieces(&shared, &pieces, executors, &mut carries);
-    // Counter sums are order-independent, so the merged statistics are
-    // deterministic even though workers finish in arbitrary order.
-    let mut stats = AuditStats::default();
-    for carry in carries {
-        stats.absorb(&carry.stats);
-    }
     // Rids are disjoint across prepared groups and duplicate outputs
     // within a piece were already rejected, so inserts cannot clash.
     let mut produced: HashMap<RequestId, HttpResponse> = run.outputs.into_iter().collect();
@@ -1782,24 +1738,24 @@ pub fn audit_parallel_source<E: GroupExecutor + Send>(
         return Err(rejection);
     }
 
-    // Phase rows keep Fig. 9's CPU-decomposition meaning: summed worker
-    // busy time, not wall time. `absorb` already summed the per-worker
-    // DB-query walls into `stats.db_query_wall`.
-    phases.add("DB query", stats.db_query_wall);
-    phases.add("ReExec", run.busy.saturating_sub(stats.db_query_wall));
-
     let output_check = Instant::now();
     compare_outputs(&balanced, &produced)?;
     phases.add("Output", output_check.elapsed());
 
-    Ok(assemble_outcome(&shared, stats, phases, prepared.len()))
+    Ok(assemble_outcome(
+        &shared,
+        &carries,
+        run.busy,
+        phases,
+        prepared.len(),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::FnExecutor;
-    use orochi_trace::Event;
+    use orochi_trace::{Event, Trace};
 
     /// A trace of `n` state-free requests, each answered "ok".
     fn stateless_trace(n: u64) -> Trace {
@@ -1844,7 +1800,7 @@ mod tests {
         let config = AuditConfig::new();
         let sequential = audit(&trace, &reports, &mut make(), &config);
         let mut pool = vec![make(), make()];
-        let pooled = audit_parallel(&trace, &reports, &mut pool, &config);
+        let pooled = audit_parallel_source(&trace, &reports, &mut pool, &config);
         let (sequential, pooled) = (sequential.unwrap(), pooled.unwrap());
         assert_eq!(sequential.stats.groups_executed, 2);
         assert_eq!(pooled.stats.groups_executed, 2);

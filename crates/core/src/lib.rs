@@ -37,8 +37,7 @@ pub mod reports;
 pub mod streaming;
 
 pub use audit::{
-    audit, audit_parallel, audit_parallel_source, audit_source, AuditConfig, AuditContext,
-    AuditOutcome, AuditStats, Rejection,
+    audit, audit_parallel_source, AuditConfig, AuditContext, AuditOutcome, AuditStats, Rejection,
 };
 pub use coldstore::{load_reports, spill_reports};
 pub use exec::{DbTxnHandle, GroupExecutor, SimResult};

@@ -16,7 +16,7 @@ use crate::nondet::NondetLog;
 use orochi_common::codec::{Decoder, Encoder, Wire, WireError};
 use orochi_common::ids::{CtlFlowTag, RequestId};
 use orochi_state::oplog::OpLogs;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// The full report bundle.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -41,6 +41,25 @@ impl Reports {
     /// requests the executor did not mention.
     pub fn op_count(&self, rid: RequestId) -> u32 {
         self.op_counts.get(&rid).copied().unwrap_or(0)
+    }
+
+    /// The claiming rule over `C`, applied in report order: each group
+    /// keeps the requests no earlier group (and no earlier position in
+    /// itself) named, and a group left with no requests is skipped.
+    /// Re-execution is idempotent, so dropping duplicates is an
+    /// optimization, not a check (§3.1). Membership in the trace is the
+    /// caller's check; every audit engine and the grouping statistics
+    /// share this one walk.
+    pub fn claimed_groups(&self) -> impl Iterator<Item = (CtlFlowTag, Vec<RequestId>)> + '_ {
+        let mut claimed: HashSet<RequestId> = HashSet::new();
+        self.groupings.iter().filter_map(move |(tag, rids)| {
+            let members: Vec<RequestId> = rids
+                .iter()
+                .copied()
+                .filter(|rid| claimed.insert(*rid))
+                .collect();
+            (!members.is_empty()).then_some((*tag, members))
+        })
     }
 
     /// Total operations across all logs (the paper's `Y`).
@@ -145,6 +164,29 @@ mod tests {
         let r = sample();
         assert_eq!(r.op_count(RequestId(1)), 1);
         assert_eq!(r.op_count(RequestId(999)), 0);
+    }
+
+    #[test]
+    fn claimed_groups_drop_repeats_and_emptied_groups() {
+        let r = Reports {
+            groupings: vec![
+                (
+                    CtlFlowTag(1),
+                    vec![RequestId(1), RequestId(2), RequestId(1)],
+                ),
+                (CtlFlowTag(2), vec![RequestId(2)]),
+                (CtlFlowTag(3), vec![RequestId(3), RequestId(1)]),
+            ],
+            ..Reports::default()
+        };
+        let claimed: Vec<_> = r.claimed_groups().collect();
+        assert_eq!(
+            claimed,
+            vec![
+                (CtlFlowTag(1), vec![RequestId(1), RequestId(2)]),
+                (CtlFlowTag(3), vec![RequestId(3)]),
+            ]
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The streaming epoch audit: bounded-memory audit over sealed epochs.
 //!
-//! The batch audit ([`crate::audit::audit_parallel`]) materializes the
-//! whole balanced trace before phase 2 begins, so the auditor's peak
-//! memory is O(trace). This module re-runs the same phases
+//! The batch audit ([`crate::audit::audit_parallel_source`])
+//! materializes the whole balanced trace before phase 2 begins, so the
+//! auditor's peak memory is O(trace). This module re-runs the same phases
 //! *incrementally* over **epochs** — bounded runs of trace events pulled
 //! from any [`TraceSource`] via `stream_events_from` — carrying only:
 //!
@@ -29,8 +29,8 @@
 //! [`process_op_reports_interned`] (the batch pass minus the trace
 //! materialization), store builds and group re-execution reuse
 //! [`mod@crate::audit`]'s internals. Verdicts and diagnostics are
-//! byte-identical to [`crate::audit::audit_parallel`] at every thread
-//! count and epoch budget — including rejecting runs — by the
+//! byte-identical to [`crate::audit::audit_parallel_source`] at every
+//! thread count and epoch budget — including rejecting runs — by the
 //! following precedence reconstruction at [`StreamingAudit::finish`]:
 //!
 //! 1. any balance violation (in-stream, or an unresponded request);
@@ -45,12 +45,12 @@
 //! 6. the grouping pre-pass rejection at the cut, if any;
 //! 7. the first output mismatch in arrival order.
 //!
-//! Groups are *planned optimistically* (the batch claiming walk minus
-//! the trace-membership check). Before the cut — the first grouping
-//! entry naming a request the trace never contained — the optimistic
-//! plan equals the batch prepared groups exactly; anything at or past
-//! the cut may re-execute speculatively but can never influence the
-//! verdict, because step 6 fires first.
+//! Groups are *planned optimistically* ([`Reports::claimed_groups`]
+//! without the trace-membership check). Before the cut — the first
+//! grouping entry naming a request the trace never contained — the
+//! optimistic plan equals the batch prepared groups exactly; anything at
+//! or past the cut may re-execute speculatively but can never influence
+//! the verdict, because step 6 fires first.
 //!
 //! Each epoch executes the **sub-groups** of members whose responses
 //! arrived in that epoch (in within-group order) through the batch
@@ -64,7 +64,7 @@
 
 use crate::audit::{
     assemble_outcome, confirm_failures, execute_pieces, plan_pieces, AuditCarry, AuditConfig,
-    AuditOutcome, AuditShared, AuditStats, Piece, PreparedGroup, Rejection,
+    AuditOutcome, AuditShared, Piece, PreparedGroup, Rejection,
 };
 use crate::exec::GroupExecutor;
 use crate::graph::{process_op_reports_interned, OpMap};
@@ -180,32 +180,16 @@ impl<'a> StreamingAudit<'a> {
                 }
             }
         };
-        // Optimistic grouping plan: the batch claiming walk without the
-        // trace-membership check (the trace is unknown until the
-        // stream ends). Identical to `prepare_groups` up to the cut.
+        // Optimistic grouping plan: the claimed groups without the
+        // trace-membership check (the trace is unknown until the stream
+        // ends). Identical to the batch prepared groups up to the cut.
+        let (group_tags, group_members): (Vec<CtlFlowTag>, Vec<Vec<RequestId>>) =
+            reports.claimed_groups().unzip();
         let mut member_of = HashMap::new();
-        let mut group_tags = Vec::new();
-        let mut group_members: Vec<Vec<RequestId>> = Vec::new();
-        let mut claimed: HashSet<RequestId> = HashSet::new();
-        for (tag, rids) in &reports.groupings {
-            let mut members = Vec::new();
-            let mut seen_in_group = HashSet::new();
-            for rid in rids {
-                if claimed.contains(rid) || !seen_in_group.insert(*rid) {
-                    continue;
-                }
-                members.push(*rid);
-            }
-            if members.is_empty() {
-                continue;
-            }
-            claimed.extend(members.iter().copied());
-            let g = group_tags.len() as u32;
+        for (g, members) in group_members.iter().enumerate() {
             for (pos, rid) in members.iter().enumerate() {
-                member_of.insert(*rid, (g, pos as u32));
+                member_of.insert(*rid, (g as u32, pos as u32));
             }
-            group_tags.push(*tag);
-            group_members.push(members);
         }
         // Per-rid log entries in log order: restricted to one rid, the
         // order matches the batch CheckLogs walk, so first-claim-wins
@@ -495,8 +479,8 @@ impl<'a> StreamingAudit<'a> {
         }
         let shared = Arc::new(self.shared.take().expect("no deferred rejection"));
 
-        // 5./6. The grouping cut: replay the batch claiming walk with
-        // the trace-membership check the optimistic plan skipped.
+        // 5./6. The grouping cut: the claimed groups with the
+        // trace-membership check the optimistic plan skipped.
         let (cut_groups, pre_error) = self.grouping_cut(&interner);
 
         // 5. Confirm failed groups below the cut, lowest index first:
@@ -548,46 +532,32 @@ impl<'a> StreamingAudit<'a> {
             return Err(rejection);
         }
 
-        // Accept: fold the worker carries into the batch-shaped stats.
-        let mut stats = AuditStats::default();
-        for carry in &self.carries {
-            stats.absorb(&carry.stats);
-        }
-        let mut phases = self.phases;
-        phases.add("DB query", stats.db_query_wall);
-        phases.add(
-            "ReExec",
-            self.reexec_busy.saturating_sub(stats.db_query_wall),
-        );
-        Ok(assemble_outcome(&shared, stats, phases, cut_groups))
+        // Accept: the worker carries fold into the batch-shaped stats.
+        Ok(assemble_outcome(
+            &shared,
+            &self.carries,
+            self.reexec_busy,
+            self.phases,
+            cut_groups,
+        ))
     }
 
-    /// Replays the batch `prepare_groups` claiming walk over the final
-    /// interner: returns how many planned groups lie before the cut and
-    /// the cut's rejection, if any. Group indices agree with the
-    /// optimistic plan on everything below the cut.
+    /// Checks the optimistic plan's groups against the final interner,
+    /// in plan order: returns how many lie before the cut — the first
+    /// group naming a request the trace never contained — and the cut's
+    /// rejection, if any. This is the batch pre-pass's membership check,
+    /// so group indices agree with the batch prepared groups below the
+    /// cut.
     fn grouping_cut(&self, interner: &RidInterner) -> (usize, Option<Rejection>) {
-        let mut claimed: HashSet<RequestId> = HashSet::new();
-        let mut groups = 0usize;
-        for (_, rids) in &self.reports.groupings {
-            let mut members = Vec::new();
-            let mut seen_in_group = HashSet::new();
-            for rid in rids {
-                if claimed.contains(rid) || !seen_in_group.insert(*rid) {
-                    continue;
-                }
-                if interner.index_of(*rid).is_none() {
-                    return (groups, Some(Rejection::GroupUnknownRequest { rid: *rid }));
-                }
-                members.push(*rid);
+        for (g, members) in self.group_members.iter().enumerate() {
+            if let Some(&rid) = members
+                .iter()
+                .find(|rid| interner.index_of(**rid).is_none())
+            {
+                return (g, Some(Rejection::GroupUnknownRequest { rid }));
             }
-            if members.is_empty() {
-                continue;
-            }
-            claimed.extend(members);
-            groups += 1;
         }
-        (groups, None)
+        (self.group_members.len(), None)
     }
 }
 
@@ -654,7 +624,7 @@ fn source_response_matches(
 /// The pull-based streaming audit: cuts `source` into epochs of at most
 /// `epoch_events` events (`0` = one epoch spanning the whole trace) and
 /// drives [`StreamingAudit`] over them. Verdicts and diagnostics are
-/// byte-identical to [`crate::audit::audit_parallel`] with
+/// byte-identical to [`crate::audit::audit_parallel_source`] with
 /// `executors.len()` workers, at every epoch budget.
 ///
 /// # Panics

@@ -341,15 +341,10 @@ fn audit_setup(work: &AppWorkload, opts: &AuditOptions) -> (AuditConfig, Vec<Acc
     (config, executors)
 }
 
-/// Wraps a landed verdict into an [`AuditRun`]: records the audit-side
-/// telemetry (the seal→verdict lag and the VM dispatch split) and
-/// merges the workers' executor statistics.
+/// Wraps a landed verdict into an [`AuditRun`]: records the
+/// seal→verdict lag and merges the workers' executor statistics.
 fn finish_run(outcome: AuditOutcome, executors: &[AccPhpExecutor], wall: Duration) -> AuditRun {
     orochi_obs::lag::record_verdict();
-    orochi_obs::registry::counter("vm_dispatch_executed_total")
-        .add(outcome.stats.vm_dispatch_executed);
-    orochi_obs::registry::counter("vm_dispatch_represented_total")
-        .add(outcome.stats.vm_dispatch_total);
     let mut exec_stats = ExecutorStats::default();
     for e in executors {
         exec_stats.merge(&e.stats);
@@ -361,10 +356,14 @@ fn finish_run(outcome: AuditOutcome, executors: &[AccPhpExecutor], wall: Duratio
     }
 }
 
-/// The one batch audit path: [`audit_parallel_source`] over any trace
-/// source, which runs the sequential re-execution directly when the
-/// pool has a single executor.
-fn audit_batch(
+/// The batch audit: [`audit_parallel_source`] over any trace source —
+/// a served bundle's in-RAM trace, or a [`TraceStoreReader`] replaying
+/// sealed segments with the reports from [`coldstore::load_reports`].
+/// `opts` selects grouped or scalar re-execution, query deduplication
+/// (§4.5) and the worker count; with one thread the sequential audit
+/// runs. Verdicts and diagnostics are byte-identical across sources
+/// holding the same events and at any thread count.
+pub fn run_audit(
     source: &dyn TraceSource,
     reports: &Reports,
     work: &AppWorkload,
@@ -374,38 +373,6 @@ fn audit_batch(
     let t0 = Instant::now();
     let outcome = audit_parallel_source(source, reports, &mut executors, &config)?;
     Ok(finish_run(outcome, &executors, t0.elapsed()))
-}
-
-/// Audits a bundle. `grouped` selects SIMD-on-demand vs the scalar
-/// baseline; `dedup` toggles read-query deduplication (§4.5). Runs the
-/// sequential audit; use [`run_audit_with`] for the pooled variant.
-pub fn run_audit(
-    bundle: &AuditBundle,
-    work: &AppWorkload,
-    grouped: bool,
-    dedup: bool,
-) -> Result<AuditRun, Rejection> {
-    run_audit_with(
-        bundle,
-        work,
-        &AuditOptions {
-            grouped,
-            dedup,
-            ..Default::default()
-        },
-    )
-}
-
-/// Audits a bundle with explicit [`AuditOptions`]. With `threads >= 2`
-/// the control-flow groups re-execute across a worker pool; verdicts
-/// and diagnostics are identical to the sequential audit at any thread
-/// count.
-pub fn run_audit_with(
-    bundle: &AuditBundle,
-    work: &AppWorkload,
-    opts: &AuditOptions,
-) -> Result<AuditRun, Rejection> {
-    audit_batch(&bundle.trace, &bundle.reports, work, opts)
 }
 
 /// Spills a served bundle's trace and reports into a segmented trace
@@ -423,34 +390,21 @@ pub fn spill_bundle(
     writer.finish()
 }
 
-/// Audits straight from a segmented trace store: the trace streams out
-/// of the sealed segments one at a time and the reports load from the
-/// sidecar blob. Verdicts and diagnostics are byte-identical to
-/// [`run_audit_with`] over the in-RAM bundle.
-pub fn run_audit_cold(
-    reader: &TraceStoreReader,
-    work: &AppWorkload,
-    opts: &AuditOptions,
-) -> Result<AuditRun, Rejection> {
-    let reports = coldstore::load_reports(reader).map_err(Rejection::TraceStore)?;
-    audit_batch(reader, &reports, work, opts)
-}
-
-/// Audits a segmented trace store through the streaming epoch driver
-/// ([`audit_streaming_source`]): the trace is pulled in epochs of
-/// `epoch_events` events (`0` = one epoch, i.e. batch) and re-executed
-/// incrementally with bounded carry. Verdicts and diagnostics are
-/// byte-identical to [`run_audit_cold`] at any epoch budget.
+/// The streaming audit over the same inputs as [`run_audit`], through
+/// the epoch driver ([`audit_streaming_source`]): the trace is pulled in
+/// epochs of `epoch_events` events (`0` = one epoch, i.e. batch) and
+/// re-executed incrementally with bounded carry. Verdicts and
+/// diagnostics are byte-identical to [`run_audit`] at any epoch budget.
 pub fn run_audit_streaming(
-    reader: &TraceStoreReader,
+    source: &dyn TraceSource,
+    reports: &Reports,
     work: &AppWorkload,
     opts: &AuditOptions,
     epoch_events: usize,
 ) -> Result<AuditRun, Rejection> {
-    let reports = coldstore::load_reports(reader).map_err(Rejection::TraceStore)?;
     let (config, mut executors) = audit_setup(work, opts);
     let t0 = Instant::now();
-    let outcome = audit_streaming_source(reader, &reports, &mut executors, &config, epoch_events)?;
+    let outcome = audit_streaming_source(source, reports, &mut executors, &config, epoch_events)?;
     Ok(finish_run(outcome, &executors, t0.elapsed()))
 }
 
@@ -524,6 +478,16 @@ mod tests {
     use super::*;
     use orochi_workload::wiki;
 
+    fn audit_bundle(bundle: &AuditBundle, work: &AppWorkload, grouped: bool) -> AuditRun {
+        let opts = AuditOptions {
+            grouped,
+            dedup: grouped,
+            ..Default::default()
+        };
+        run_audit(&bundle.trace, &bundle.reports, work, &opts)
+            .unwrap_or_else(|r| panic!("audit rejected: {r}"))
+    }
+
     fn tiny_wiki() -> AppWorkload {
         AppWorkload {
             app: orochi_apps::wiki::app(),
@@ -537,8 +501,7 @@ mod tests {
         let work = tiny_wiki();
         let served = serve(&work, &ServeOptions::default());
         assert_eq!(served.requests as usize, work.workload.len());
-        let run = run_audit(&served.bundle, &work, true, true)
-            .unwrap_or_else(|r| panic!("audit rejected: {r}"));
+        let run = audit_bundle(&served.bundle, &work, true);
         assert!(run.outcome.stats.requests_reexecuted > 0);
         // Grouped mode must engage on a Zipf wiki workload.
         assert!(run.exec_stats.grouped > 0);
@@ -548,8 +511,8 @@ mod tests {
     fn scalar_baseline_also_accepts_and_is_slower_conceptually() {
         let work = tiny_wiki();
         let served = serve(&work, &ServeOptions::default());
-        let grouped = run_audit(&served.bundle, &work, true, true).unwrap();
-        let scalar = run_audit(&served.bundle, &work, false, false).unwrap();
+        let grouped = audit_bundle(&served.bundle, &work, true);
+        let scalar = audit_bundle(&served.bundle, &work, false);
         assert_eq!(
             grouped.outcome.stats.requests_reexecuted,
             scalar.outcome.stats.requests_reexecuted
@@ -565,10 +528,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let summary = spill_bundle(&served.bundle, &dir, 64 * 1024).unwrap();
         assert_eq!(summary.events as usize, served.bundle.trace.len());
-        let ram = run_audit(&served.bundle, &work, true, true).unwrap();
+        let ram = audit_bundle(&served.bundle, &work, true);
         drop(served); // the in-RAM trace is gone; only the segments remain
         let reader = TraceStoreReader::open(&dir).unwrap();
-        let cold = run_audit_cold(&reader, &work, &AuditOptions::default()).unwrap();
+        let reports = coldstore::load_reports(&reader).unwrap();
+        let cold = run_audit(&reader, &reports, &work, &AuditOptions::default()).unwrap();
         assert_eq!(
             cold.outcome.stats.requests_reexecuted,
             ram.outcome.stats.requests_reexecuted
@@ -597,7 +561,9 @@ mod tests {
         // serve interleaving (check-then-act branches shift control-
         // flow digests), so a second serve is not a valid oracle.
         let reader = TraceStoreReader::open(&dir).unwrap();
-        let batch = run_audit_cold(&reader, &work, &AuditOptions::default()).unwrap();
+        let reports = coldstore::load_reports(&reader).unwrap();
+        let opts = AuditOptions::default();
+        let batch = run_audit(&reader, &reports, &work, &opts).unwrap();
         assert_eq!(
             sa.run.outcome.stats.requests_reexecuted,
             batch.outcome.stats.requests_reexecuted
@@ -608,7 +574,7 @@ mod tests {
         );
         // The sealed store must also replay cold through the streaming
         // driver with a different epoch budget, to the same verdict.
-        let cold = run_audit_streaming(&reader, &work, &AuditOptions::default(), 7).unwrap();
+        let cold = run_audit_streaming(&reader, &reports, &work, &opts, 7).unwrap();
         assert_eq!(
             cold.outcome.stats.requests_reexecuted,
             batch.outcome.stats.requests_reexecuted
@@ -627,7 +593,6 @@ mod tests {
         let (latencies, served) = serve_open_loop(&work, 300.0, 4, true, 3);
         assert_eq!(latencies.len(), 60);
         assert!(latencies.iter().all(|&l| l >= 0.0));
-        run_audit(&served.bundle, &work, true, true)
-            .unwrap_or_else(|r| panic!("open-loop audit rejected: {r}"));
+        audit_bundle(&served.bundle, &work, true);
     }
 }

@@ -2,15 +2,15 @@
 //! DESIGN.md maps each to its bench target).
 
 use crate::driver::{
-    run_audit, run_audit_cold, run_audit_streaming, run_audit_with, serve, serve_drained,
-    serve_open_loop, serve_open_loop_with, spill_bundle, AppWorkload, AuditOptions,
-    OpenLoopOptions, ServeOptions,
+    run_audit, run_audit_streaming, serve, serve_drained, serve_open_loop, serve_open_loop_with,
+    spill_bundle, AppWorkload, AuditOptions, OpenLoopOptions, ServeOptions,
 };
 use crate::mutation::{MutationPlan, MutationSite};
 use crate::tamper;
 use orochi_accphp::AccPhpExecutor;
 use orochi_common::metrics::percentile;
-use orochi_core::audit::{audit, audit_parallel};
+use orochi_core::audit::{audit, audit_parallel_source, Rejection};
+use orochi_core::coldstore;
 use orochi_core::reports::Reports;
 use orochi_core::streaming::audit_streaming_source;
 use orochi_server::server::AuditBundle;
@@ -19,8 +19,34 @@ use orochi_workload::{forum, hotcrp, mixed, shop, wiki, Skew};
 use std::collections::{BTreeMap, HashSet};
 use std::time::{Duration, Instant};
 
-/// Builds the shop workload at `scale` with the skew override applied,
-/// like the paper workloads.
+/// The "simple re-execution" baseline the paper compares against:
+/// scalar re-execution without query deduplication, sequential.
+const SIMPLE: AuditOptions = AuditOptions {
+    grouped: false,
+    dedup: false,
+    threads: 1,
+};
+
+/// Builds the wiki workload at `scale` with the skew override applied.
+pub fn wiki_workload(scale: f64, seed: u64, skew: &Skew) -> AppWorkload {
+    AppWorkload {
+        app: orochi_apps::wiki::app(),
+        workload: wiki::generate(&wiki::Params::scaled(scale).with_skew(skew), seed),
+        seed_sql: Vec::new(),
+    }
+}
+
+/// Builds the forum workload at `scale` with the skew override applied.
+pub fn forum_workload(scale: f64, seed: u64, skew: &Skew) -> AppWorkload {
+    let params = forum::Params::scaled(scale).with_skew(skew);
+    AppWorkload {
+        app: orochi_apps::forum::app(),
+        workload: forum::generate(&params, seed),
+        seed_sql: forum::seed_sql(&params),
+    }
+}
+
+/// Builds the shop workload at `scale` with the skew override applied.
 pub fn shop_workload(scale: f64, seed: u64, skew: &Skew) -> AppWorkload {
     let params = shop::Params::scaled(scale).with_skew(skew);
     AppWorkload {
@@ -33,18 +59,9 @@ pub fn shop_workload(scale: f64, seed: u64, skew: &Skew) -> AppWorkload {
 /// Builds the three paper workloads plus the shop at `scale`. The one
 /// skew override (Zipf theta, session length) applies to all four.
 pub fn paper_workloads(scale: f64, seed: u64, skew: &Skew) -> Vec<AppWorkload> {
-    let forum_params = forum::Params::scaled(scale).with_skew(skew);
     vec![
-        AppWorkload {
-            app: orochi_apps::wiki::app(),
-            workload: wiki::generate(&wiki::Params::scaled(scale).with_skew(skew), seed),
-            seed_sql: Vec::new(),
-        },
-        AppWorkload {
-            app: orochi_apps::forum::app(),
-            workload: forum::generate(&forum_params, seed),
-            seed_sql: forum::seed_sql(&forum_params),
-        },
+        wiki_workload(scale, seed, skew),
+        forum_workload(scale, seed, skew),
         AppWorkload {
             app: orochi_apps::hotcrp::app(),
             workload: hotcrp::generate(&hotcrp::Params::scaled(scale).with_skew(skew), seed),
@@ -119,9 +136,10 @@ pub fn fig8_table(scale: f64, seed: u64, skew: &Skew, serve_opts: &ServeOptions)
         let busy_recording = rec_runs.into_iter().min().expect("three runs");
         // Audits: grouped+dedup (OROCHI) vs scalar+no-dedup ("simple
         // re-execution").
-        let orochi_audit = run_audit(&orochi.bundle, &work, true, true)
+        let (trace, reports) = (&orochi.bundle.trace, &orochi.bundle.reports);
+        let orochi_audit = run_audit(trace, reports, &work, &AuditOptions::default())
             .unwrap_or_else(|r| panic!("{name}: OROCHI audit rejected: {r}"));
-        let simple_audit = run_audit(&orochi.bundle, &work, false, false)
+        let simple_audit = run_audit(trace, reports, &work, &SIMPLE)
             .unwrap_or_else(|r| panic!("{name}: baseline audit rejected: {r}"));
 
         let trace_bytes = orochi.bundle.trace.wire_size() as f64;
@@ -199,15 +217,16 @@ pub struct LatencyPoint {
 
 /// Experiment E2: latency vs throughput for the forum app, recording on
 /// vs off (Fig. 8 right).
-pub fn fig8_latency(scale: f64, seed: u64, rates: &[f64], recording: bool) -> Vec<LatencyPoint> {
-    let params = forum::Params::scaled(scale);
+pub fn fig8_latency(
+    scale: f64,
+    seed: u64,
+    skew: &Skew,
+    rates: &[f64],
+    recording: bool,
+) -> Vec<LatencyPoint> {
+    let work = forum_workload(scale, seed, skew);
     let mut out = Vec::new();
     for &rate in rates {
-        let work = AppWorkload {
-            app: orochi_apps::forum::app(),
-            workload: forum::generate(&params, seed),
-            seed_sql: forum::seed_sql(&params),
-        };
         let (latencies, served) = serve_open_loop(&work, rate, 8, recording, seed);
         let throughput = served.requests as f64 / served.wall.as_secs_f64();
         out.push(LatencyPoint {
@@ -446,9 +465,10 @@ pub fn fig9_decomposition(
     for work in paper_workloads(scale, seed, skew) {
         let name = work.app.name;
         let served = serve(&work, serve_opts);
-        let orochi = run_audit(&served.bundle, &work, true, true)
+        let (trace, reports) = (&served.bundle.trace, &served.bundle.reports);
+        let orochi = run_audit(trace, reports, &work, &AuditOptions::default())
             .unwrap_or_else(|r| panic!("{name}: audit rejected: {r}"));
-        let simple = run_audit(&served.bundle, &work, false, false)
+        let simple = run_audit(trace, reports, &work, &SIMPLE)
             .unwrap_or_else(|r| panic!("{name}: baseline audit rejected: {r}"));
         let stats = &orochi.outcome.stats;
         let phases = &stats.phases;
@@ -538,16 +558,15 @@ impl ParallelRow {
 }
 
 /// The largest prepared group's share of the grouped requests, by the
-/// audit pre-pass's claiming walk over `reports.groupings` (a request
-/// counts in the first group that names it).
+/// audit's claiming rule ([`Reports::claimed_groups`]: a request counts
+/// in the first group that names it).
 fn largest_group_share(reports: &Reports) -> f64 {
-    let mut claimed = HashSet::new();
-    let mut largest = 0usize;
-    for (_, rids) in &reports.groupings {
-        let fresh = rids.iter().filter(|rid| claimed.insert(**rid)).count();
-        largest = largest.max(fresh);
+    let (mut largest, mut total) = (0usize, 0usize);
+    for (_, members) in reports.claimed_groups() {
+        largest = largest.max(members.len());
+        total += members.len();
     }
-    largest as f64 / claimed.len().max(1) as f64
+    largest as f64 / total.max(1) as f64
 }
 
 /// Experiment E8: audit wall time, sequential vs `threads`-worker
@@ -568,10 +587,11 @@ pub fn parallel_speedup(
     for work in paper_workloads(scale, seed, skew) {
         let name = work.app.name;
         let served = serve(&work, serve_opts);
+        let (trace, reports) = (&served.bundle.trace, &served.bundle.reports);
         let min_of_two = |opts: &AuditOptions, arm: &str| {
-            let a = run_audit_with(&served.bundle, &work, opts)
+            let a = run_audit(trace, reports, &work, opts)
                 .unwrap_or_else(|r| panic!("{name}: {arm} audit rejected: {r}"));
-            let b = run_audit_with(&served.bundle, &work, opts)
+            let b = run_audit(trace, reports, &work, opts)
                 .unwrap_or_else(|r| panic!("{name}: {arm} audit rejected: {r}"));
             if a.wall <= b.wall {
                 a
@@ -666,17 +686,15 @@ pub struct Fig11Summary {
 pub fn fig11_groups(
     scale: f64,
     seed: u64,
+    skew: &Skew,
     serve_opts: &ServeOptions,
     threads: usize,
 ) -> Fig11Summary {
-    let work = AppWorkload {
-        app: orochi_apps::wiki::app(),
-        workload: wiki::generate(&wiki::Params::scaled(scale), seed),
-        seed_sql: Vec::new(),
-    };
+    let work = wiki_workload(scale, seed, skew);
     let served = serve(&work, serve_opts);
-    let run = run_audit_with(
-        &served.bundle,
+    let run = run_audit(
+        &served.bundle.trace,
+        &served.bundle.reports,
         &work,
         &AuditOptions {
             threads: threads.max(1),
@@ -750,12 +768,8 @@ pub struct AblationArm {
 
 /// Experiment E7: {SIMD on/off} × {query dedup on/off} on the wiki
 /// workload.
-pub fn ablation(scale: f64, seed: u64, serve_opts: &ServeOptions) -> Vec<AblationArm> {
-    let work = AppWorkload {
-        app: orochi_apps::wiki::app(),
-        workload: wiki::generate(&wiki::Params::scaled(scale), seed),
-        seed_sql: Vec::new(),
-    };
+pub fn ablation(scale: f64, seed: u64, skew: &Skew, serve_opts: &ServeOptions) -> Vec<AblationArm> {
+    let work = wiki_workload(scale, seed, skew);
     let served = serve(&work, serve_opts);
     let arms = [
         ("grouped+dedup", true, true),
@@ -770,7 +784,7 @@ pub fn ablation(scale: f64, seed: u64, serve_opts: &ServeOptions) -> Vec<Ablatio
                 dedup: *dedup,
                 threads: 1,
             };
-            let run = run_audit_with(&served.bundle, &work, &opts)
+            let run = run_audit(&served.bundle.trace, &served.bundle.reports, &work, &opts)
                 .unwrap_or_else(|r| panic!("{label}: audit rejected: {r}"));
             AblationArm {
                 label,
@@ -910,8 +924,9 @@ pub fn shop_experiment(
     }
 
     let audit_at = |bundle: &AuditBundle, threads: usize| {
-        run_audit_with(
-            bundle,
+        run_audit(
+            &bundle.trace,
+            &bundle.reports,
             &work,
             &AuditOptions {
                 threads,
@@ -1024,152 +1039,6 @@ pub fn print_shop(r: &ShopReport) {
     }
 }
 
-/// One arm of the streaming-equivalence experiment.
-#[derive(Debug)]
-pub struct StreamingRow {
-    /// Variant label (`honest` or a shop tamper name).
-    pub variant: &'static str,
-    /// Whether every arm accepted.
-    pub accepted: bool,
-    /// The shared diagnostic (`accept` or the identical rejection).
-    pub diagnostic: String,
-    /// Batch (cold, pooled) audit wall time.
-    pub batch_wall: Duration,
-    /// Streaming (pooled) audit wall time.
-    pub streaming_wall: Duration,
-}
-
-/// Experiment E11: streaming-epoch audit equivalence. Serves the shop
-/// workload honestly and under every tampering variant, spills each
-/// bundle to a segmented store, and audits it three ways — batch cold
-/// (pooled), streaming sequential, streaming pooled at `epoch_events`
-/// per epoch. Verdicts and diagnostics must be byte-identical across
-/// all three arms, and the accepting arms must agree on every
-/// determinism-relevant counter.
-///
-/// # Panics
-///
-/// Panics if any arm disagrees with the others, a tamper variant finds
-/// no site, or a tampered run is accepted.
-pub fn streaming_equivalence(
-    scale: f64,
-    seed: u64,
-    threads: usize,
-    epoch_events: usize,
-) -> Vec<StreamingRow> {
-    let work = shop_workload(scale, seed, &Skew::default());
-    let seq_opts = AuditOptions {
-        threads: 1,
-        ..Default::default()
-    };
-    let par_opts = AuditOptions {
-        threads: threads.max(1),
-        ..Default::default()
-    };
-    let mut rows = Vec::new();
-    for variant in [
-        "honest",
-        "forged_cart_total",
-        "stale_inventory_read",
-        "replayed_kv_write",
-    ] {
-        let mut served = serve(&work, &ServeOptions::default());
-        if variant != "honest" {
-            assert!(
-                apply_shop_tamper(&mut served.bundle, variant),
-                "shop workload offers no site for {variant} — grow the workload"
-            );
-        }
-        let dir = std::env::temp_dir().join(format!(
-            "orochi-streamdiff-{variant}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        spill_bundle(&served.bundle, &dir, 64 * 1024).expect("spill for streaming equivalence");
-        drop(served);
-        let reader = TraceStoreReader::open(&dir).expect("reopen spilled store");
-        let t0 = Instant::now();
-        let batch = run_audit_cold(&reader, &work, &par_opts);
-        let batch_wall = t0.elapsed();
-        let stream_seq = run_audit_streaming(&reader, &work, &seq_opts, epoch_events);
-        let t0 = Instant::now();
-        let stream_par = run_audit_streaming(&reader, &work, &par_opts, epoch_events);
-        let streaming_wall = t0.elapsed();
-        let row = match (batch, stream_seq, stream_par) {
-            (Ok(b), Ok(s1), Ok(sp)) => {
-                assert_eq!(
-                    variant, "honest",
-                    "tampered {variant} run accepted by every arm"
-                );
-                for (arm, s) in [("sequential", &s1), ("pooled", &sp)] {
-                    assert_eq!(
-                        (
-                            b.outcome.stats.requests_reexecuted,
-                            b.outcome.stats.groups_executed,
-                            b.outcome.stats.register_ops,
-                            b.outcome.stats.kv_ops,
-                            b.outcome.stats.db_txns,
-                            b.outcome.stats.db_queries,
-                        ),
-                        (
-                            s.outcome.stats.requests_reexecuted,
-                            s.outcome.stats.groups_executed,
-                            s.outcome.stats.register_ops,
-                            s.outcome.stats.kv_ops,
-                            s.outcome.stats.db_txns,
-                            s.outcome.stats.db_queries,
-                        ),
-                        "streaming {arm} audit drifted from the batch counters"
-                    );
-                }
-                StreamingRow {
-                    variant,
-                    accepted: true,
-                    diagnostic: "accept".to_string(),
-                    batch_wall,
-                    streaming_wall,
-                }
-            }
-            (Err(b), Err(s1), Err(sp)) => {
-                let (b, s1, sp) = (b.to_string(), s1.to_string(), sp.to_string());
-                assert_eq!(b, s1, "{variant}: streaming sequential diagnostic diverged");
-                assert_eq!(b, sp, "{variant}: streaming pooled diagnostic diverged");
-                StreamingRow {
-                    variant,
-                    accepted: false,
-                    diagnostic: b,
-                    batch_wall,
-                    streaming_wall,
-                }
-            }
-            (b, s1, sp) => panic!(
-                "{variant}: arms disagree on the verdict: batch {:?}, streaming-seq {:?}, \
-                 streaming-par {:?}",
-                b.map(|_| "accept").map_err(|e| e.to_string()),
-                s1.map(|_| "accept").map_err(|e| e.to_string()),
-                sp.map(|_| "accept").map_err(|e| e.to_string()),
-            ),
-        };
-        rows.push(row);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    rows
-}
-
-/// Renders the streaming-equivalence rows.
-pub fn print_streaming(rows: &[StreamingRow]) {
-    for r in rows {
-        println!(
-            "{:<22} accepted={} batch {:.3}s streaming {:.3}s: {}",
-            r.variant,
-            r.accepted,
-            r.batch_wall.as_secs_f64(),
-            r.streaming_wall.as_secs_f64(),
-            r.diagnostic
-        );
-    }
-}
-
 /// Builds the mixed four-app workload at `scale`: all tenants behind
 /// one front-end (`orochi_apps::mixed`), requests interleaved by
 /// `orochi_workload::mixed`. The shared skew knob applies to every
@@ -1243,7 +1112,7 @@ impl CampaignReport {
 }
 
 /// The verdict of one audit arm as a comparable string.
-fn campaign_verdict<T>(run: &Result<T, orochi_core::Rejection>) -> String {
+fn campaign_verdict<T>(run: &Result<T, Rejection>) -> String {
     match run {
         Ok(_) => "accept".to_string(),
         Err(r) => format!("reject:{r}"),
@@ -1299,10 +1168,11 @@ pub fn campaign(
         threads,
         ..Default::default()
     };
+    let reports = coldstore::load_reports(&reader).expect("load campaign reports");
     let control = [
-        run_audit_cold(&reader, work, &seq_opts),
-        run_audit_cold(&reader, work, &par_opts),
-        run_audit_streaming(&reader, work, &par_opts, epoch_events),
+        run_audit(&reader, &reports, work, &seq_opts),
+        run_audit(&reader, &reports, work, &par_opts),
+        run_audit_streaming(&reader, &reports, work, &par_opts, epoch_events),
     ];
     let honest_ok = control.iter().all(|r| r.is_ok())
         && control
@@ -1312,7 +1182,7 @@ pub fn campaign(
             .collect::<HashSet<_>>()
             .len()
             == 1;
-    drop(reader);
+    drop((reader, reports));
     let _ = std::fs::remove_dir_all(&dir);
 
     // The mutation loop shares one compiled script table; executors
@@ -1352,7 +1222,7 @@ pub fn campaign(
             *operators.entry(s.operator).or_insert(0) += 1;
         }
         let batch_seq = campaign_verdict(&audit(&trace, &reports, &mut executors(1)[0], &config));
-        let batch_par = campaign_verdict(&audit_parallel(
+        let batch_par = campaign_verdict(&audit_parallel_source(
             &trace,
             &reports,
             &mut executors(threads),
@@ -1446,7 +1316,7 @@ mod tests {
 
     #[test]
     fn fig11_summary_shapes() {
-        let s = fig11_groups(0.02, 3, &ServeOptions::default(), 1);
+        let s = fig11_groups(0.02, 3, &Skew::default(), &ServeOptions::default(), 1);
         assert!(s.total_groups > 0);
         assert!(s.groups_gt1 > 0, "Zipf traffic must produce real groups");
         assert!(s.unique_urls > 0);
@@ -1510,13 +1380,19 @@ mod tests {
     }
 
     #[test]
-    fn streaming_equivalence_rows() {
-        let rows = streaming_equivalence(0.01, 7, 2, 16);
-        assert_eq!(rows.len(), 4);
-        assert!(rows[0].accepted, "honest run must accept");
-        for r in &rows[1..] {
-            assert!(!r.accepted, "{} must reject", r.variant);
-            assert!(!r.diagnostic.is_empty());
+    fn skew_override_reaches_every_paper_workload() {
+        let skew = Skew {
+            theta: Some(3.0),
+            session_len: Some(4.0),
+        };
+        let default = paper_workloads(0.01, 7, &Skew::default());
+        let skewed = paper_workloads(0.01, 7, &skew);
+        for (d, s) in default.iter().zip(&skewed) {
+            assert_ne!(
+                d.workload.requests, s.workload.requests,
+                "{}: the skew override left the generated requests unchanged",
+                d.app.name
+            );
         }
     }
 
@@ -1548,7 +1424,7 @@ mod tests {
 
     #[test]
     fn ablation_runs_all_arms() {
-        let arms = ablation(0.01, 5, &ServeOptions::default());
+        let arms = ablation(0.01, 5, &Skew::default(), &ServeOptions::default());
         assert_eq!(arms.len(), 4);
         // Dedup arms must answer some SELECTs from cache.
         assert!(arms[0].deduped > 0);

@@ -3,7 +3,9 @@
 //!
 //! * [`driver`] — serve a workload on the online executor (with a
 //!   configurable client-thread count or an open-loop Poisson schedule)
-//!   and run audits over the resulting bundle.
+//!   and audit the result: [`run_audit`] (batch) and
+//!   [`run_audit_streaming`] over any trace source, and
+//!   [`serve_and_audit`] (seal and audit each epoch as it is served).
 //! * [`experiments`] — one function per table/figure: Fig. 8 (main
 //!   results + latency/throughput), Fig. 9 (audit CPU decomposition),
 //!   Fig. 11 (control-flow group characteristics), and the §5.2
@@ -26,9 +28,8 @@ pub mod tamper;
 
 pub use config::{Config, Threads};
 pub use driver::{
-    resolve_audit_threads, resolve_serve_threads, run_audit, run_audit_cold, run_audit_streaming,
-    run_audit_with, serve, serve_and_audit, serve_drained, serve_open_loop, serve_open_loop_with,
-    spill_bundle, AppWorkload, AuditOptions, AuditRun, OpenLoopOptions, ServeAudit, ServeOptions,
-    ServeResult,
+    resolve_audit_threads, resolve_serve_threads, run_audit, run_audit_streaming, serve,
+    serve_and_audit, serve_drained, serve_open_loop, serve_open_loop_with, spill_bundle,
+    AppWorkload, AuditOptions, AuditRun, OpenLoopOptions, ServeAudit, ServeOptions, ServeResult,
 };
 pub use obs::export_obs;

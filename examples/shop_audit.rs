@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example shop_audit`
 
 use orochi::harness::tamper;
-use orochi::harness::{run_audit, serve, AppWorkload, ServeOptions};
+use orochi::harness::{run_audit, serve, AppWorkload, AuditOptions, ServeOptions};
 use orochi::server::server::AuditBundle;
 use orochi::workload::shop;
 
@@ -54,7 +54,8 @@ fn main() {
         total
     );
 
-    let honest = run_audit(&served.bundle, &work, true, true)
+    let (trace, reports) = (&served.bundle.trace, &served.bundle.reports);
+    let honest = run_audit(trace, reports, &work, &AuditOptions::default())
         .unwrap_or_else(|r| panic!("audit rejected an honest storefront: {r}"));
     println!(
         "\nhonest audit: ACCEPT in {:.2?} ({} register ops, {} kv ops, {} db txns)",
@@ -81,7 +82,8 @@ fn main() {
         let work = shop_work(42);
         let mut served = serve(&work, &ServeOptions::default());
         assert!(apply(&mut served.bundle), "no site to apply {label}");
-        match run_audit(&served.bundle, &work, true, true) {
+        let (trace, reports) = (&served.bundle.trace, &served.bundle.reports);
+        match run_audit(trace, reports, &work, &AuditOptions::default()) {
             Ok(_) => panic!("{label}: the audit accepted a tampered run!"),
             Err(rejection) => println!("{label:<22} -> REJECT: {rejection}"),
         }

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example wiki_audit`
 
-use orochi::harness::{run_audit, serve, AppWorkload, ServeOptions};
+use orochi::harness::{run_audit, serve, AppWorkload, AuditOptions, ServeOptions};
 use orochi::workload::wiki;
 
 fn main() {
@@ -29,9 +29,15 @@ fn main() {
         served.requests, served.wall, served.busy
     );
 
-    let orochi_run = run_audit(&served.bundle, &work, true, true)
+    let (trace, reports) = (&served.bundle.trace, &served.bundle.reports);
+    let orochi_run = run_audit(trace, reports, &work, &AuditOptions::default())
         .unwrap_or_else(|r| panic!("audit rejected an honest server: {r}"));
-    let simple_run = run_audit(&served.bundle, &work, false, false)
+    let simple = AuditOptions {
+        grouped: false,
+        dedup: false,
+        ..Default::default()
+    };
+    let simple_run = run_audit(trace, reports, &work, &simple)
         .unwrap_or_else(|r| panic!("baseline audit rejected: {r}"));
 
     println!("\n-- OROCHI audit (grouped + dedup) --");

@@ -8,7 +8,7 @@
 //! being replayable.
 
 use orochi::accphp::AccPhpExecutor;
-use orochi::core::audit::{audit, audit_parallel, AuditConfig, Rejection};
+use orochi::core::audit::{audit, audit_parallel_source, AuditConfig, Rejection};
 use orochi::core::nondet::{NondetLog, NondetValue};
 use orochi::core::reports::Reports;
 use orochi::core::streaming::audit_streaming_source;
@@ -82,7 +82,7 @@ fn all_paths(trace: &Trace, reports: &Reports, threads: usize) -> [String; 3] {
         &mut executors(scripts, 1)[0],
         config,
     ));
-    let batch_par = verdict(&audit_parallel(
+    let batch_par = verdict(&audit_parallel_source(
         trace,
         reports,
         &mut executors(scripts, threads),

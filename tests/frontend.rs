@@ -6,8 +6,8 @@
 
 use orochi::harness::experiments::shop_workload;
 use orochi::harness::{
-    run_audit_with, serve, serve_open_loop_with, tamper, AppWorkload, AuditOptions,
-    OpenLoopOptions, ServeOptions,
+    run_audit, serve, serve_open_loop_with, tamper, AppWorkload, AuditOptions, OpenLoopOptions,
+    ServeOptions,
 };
 use orochi::server::server::AuditBundle;
 use orochi::server::{Server, ServerConfig};
@@ -38,8 +38,9 @@ fn direct_sequential_bundle(work: &AppWorkload) -> AuditBundle {
 }
 
 fn audit(bundle: &AuditBundle, work: &AppWorkload, threads: usize) -> Result<(), String> {
-    run_audit_with(
-        bundle,
+    run_audit(
+        &bundle.trace,
+        &bundle.reports,
         work,
         &AuditOptions {
             threads,

@@ -21,7 +21,9 @@
 //! (a stack interpreter) still existed, with both engines asserted equal
 //! on every entry; it now stands in for that engine as the reference.
 
-use orochi::harness::driver::{run_audit, serve, spill_bundle, AppWorkload, ServeOptions};
+use orochi::harness::driver::{
+    run_audit, serve, spill_bundle, AppWorkload, AuditOptions, ServeOptions,
+};
 use orochi::php::backend::{BackendError, DbResult, NondetProvider, StateBackend};
 use orochi::php::vm::{self, RequestInput};
 use orochi::php::{compile, parse_script};
@@ -110,7 +112,13 @@ fn app_fingerprint(work: &AppWorkload) -> (usize, usize, u64) {
         bytes.extend_from_slice(resp.body.as_bytes());
     }
     let distinct: HashSet<u64> = digest_of.values().copied().collect();
-    run_audit(bundle, work, true, true).expect("honest golden serve is accepted");
+    run_audit(
+        &bundle.trace,
+        &bundle.reports,
+        work,
+        &AuditOptions::default(),
+    )
+    .expect("honest golden serve is accepted");
     (order.len(), distinct.len(), fnv1a(&bytes))
 }
 

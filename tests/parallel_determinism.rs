@@ -10,7 +10,7 @@
 
 use orochi::accphp::AccPhpExecutor;
 use orochi::core::audit::{
-    audit, audit_parallel, plan_pieces, AuditConfig, AuditOutcome, Rejection,
+    audit, audit_parallel_source, plan_pieces, AuditConfig, AuditOutcome, Rejection,
 };
 use orochi::core::precedence::create_time_precedence_graph;
 use orochi::core::reports::Reports;
@@ -98,7 +98,7 @@ fn audit_at(
     let mut executors: Vec<AccPhpExecutor> = (0..threads)
         .map(|_| AccPhpExecutor::new(scripts.clone()))
         .collect();
-    audit_parallel(trace, reports, &mut executors, config)
+    audit_parallel_source(trace, reports, &mut executors, config)
 }
 
 /// Asserts that the sequential audit and the pooled audit at every

@@ -567,7 +567,7 @@ proptest! {
 mod partition_fuzz {
     use super::*;
     use orochi::accphp::AccPhpExecutor;
-    use orochi::core::audit::{audit, audit_parallel, AuditConfig, AuditOutcome, Rejection};
+    use orochi::core::audit::{audit, audit_parallel_source, AuditConfig, AuditOutcome, Rejection};
     use orochi::core::reports::Reports;
     use orochi::php::CompiledScript;
     use orochi::server::server::AuditBundle;
@@ -619,7 +619,7 @@ mod partition_fuzz {
             let mut executors: Vec<AccPhpExecutor> = (0..threads)
                 .map(|_| AccPhpExecutor::new(scripts.clone()))
                 .collect();
-            audit_parallel(&bundle.trace, &reports, &mut executors, config)
+            audit_parallel_source(&bundle.trace, &reports, &mut executors, config)
         }
     }
 }
@@ -1046,7 +1046,7 @@ proptest! {
         distinct in proptest::collection::vec("[a-z0-9]{0,6}", 1..4),
     ) {
         use orochi::apps::AppDefinition;
-        use orochi::harness::driver::{run_audit, serve, AppWorkload, ServeOptions};
+        use orochi::harness::driver::{run_audit, serve, AppWorkload, AuditOptions, ServeOptions};
         use orochi::workload::Workload;
 
         let src = fuzz_script_source(&stmts);
@@ -1064,10 +1064,12 @@ proptest! {
             seed_sql: Vec::new(),
         };
         let served = serve(&work, &ServeOptions { threads: 1, ..Default::default() });
-        let grouped = run_audit(&served.bundle, &work, true, true)
+        let (trace, reports) = (&served.bundle.trace, &served.bundle.reports);
+        let grouped = run_audit(trace, reports, &work, &AuditOptions::default())
             .map(|r| r.outcome.stats.requests_reexecuted)
             .map_err(|r| r.to_string());
-        let scalar = run_audit(&served.bundle, &work, false, true)
+        let scalar_opts = AuditOptions { grouped: false, ..Default::default() };
+        let scalar = run_audit(trace, reports, &work, &scalar_opts)
             .map(|r| r.outcome.stats.requests_reexecuted)
             .map_err(|r| r.to_string());
         prop_assert!(grouped.is_ok(), "grouped audit rejected: {:?}\n{}", grouped, src);
@@ -1091,7 +1093,7 @@ proptest! {
         seed in 0u64..64,
     ) {
         use orochi::harness::driver::{
-            run_audit_with, serve, AppWorkload, AuditOptions, ServeOptions,
+            run_audit, serve, AppWorkload, AuditOptions, ServeOptions,
         };
         use orochi::workload::{forum, hotcrp, shop, wiki};
 
@@ -1126,7 +1128,7 @@ proptest! {
                     dedup: true,
                     threads,
                 };
-                let run = run_audit_with(&served.bundle, &work, &opts)
+                let run = run_audit(&served.bundle.trace, &served.bundle.reports, &work, &opts)
                     .map(|r| r.outcome.stats.requests_reexecuted)
                     .map_err(|r| r.to_string());
                 runs.push(run);

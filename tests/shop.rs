@@ -12,7 +12,7 @@
 //! 3. the workload really is register/KV-heavy: at least half of all
 //!    logged operations hit the register or KV sub-logs.
 
-use orochi::harness::{run_audit_with, serve, AppWorkload, AuditOptions, ServeOptions};
+use orochi::harness::{run_audit, serve, AppWorkload, AuditOptions, ServeOptions};
 use orochi::server::server::AuditBundle;
 use orochi::trace::HttpRequest;
 use orochi::workload::shop;
@@ -34,8 +34,9 @@ fn assert_audits_agree(
     work: &AppWorkload,
 ) -> Result<(), String> {
     let at = |threads: usize| {
-        run_audit_with(
-            bundle,
+        run_audit(
+            &bundle.trace,
+            &bundle.reports,
             work,
             &AuditOptions {
                 threads,

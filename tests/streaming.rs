@@ -5,17 +5,20 @@
 //!   trace, and the batch fallback (0) — the streaming audit returns
 //!   the identical verdict and diagnostic as the batch audit over the
 //!   same sealed store, sequentially and pooled, for an honest run and
-//!   for every tampered variant.
+//!   for every tampered variant. The honest run accepts, every tampered
+//!   run rejects, and accepting runs agree on every re-execution
+//!   counter.
 //! * Sealed-epoch state leaves the carry: feeding a whole trace through
 //!   small epochs never accumulates the executed payloads — the
 //!   high-water carry stays below the trace's own payload volume.
 
 use orochi::accphp::AccPhpExecutor;
 use orochi::core::audit::AuditConfig;
+use orochi::core::coldstore;
 use orochi::core::streaming::StreamingAudit;
 use orochi::core::Rejection;
 use orochi::harness::driver::{
-    run_audit_cold, run_audit_streaming, serve, spill_bundle, AppWorkload, AuditOptions, AuditRun,
+    run_audit, run_audit_streaming, serve, spill_bundle, AppWorkload, AuditOptions, AuditRun,
     ServeOptions,
 };
 use orochi::harness::experiments::shop_workload;
@@ -27,12 +30,24 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
-/// One verdict string per audit: acceptance carries the re-execution
-/// count, rejection the full diagnostic — so equality means the same
-/// verdict *and* the same diagnostic.
+/// One verdict string per audit: acceptance carries every
+/// schedule-independent re-execution counter, rejection the full
+/// diagnostic — so equality means the same verdict *and* the same
+/// diagnostic or counters.
 fn verdict(run: &Result<AuditRun, Rejection>) -> String {
     match run {
-        Ok(run) => format!("accept:{}", run.outcome.stats.requests_reexecuted),
+        Ok(run) => {
+            let s = &run.outcome.stats;
+            format!(
+                "accept:{} groups:{} reg:{} kv:{} txns:{} queries:{}",
+                s.requests_reexecuted,
+                s.groups_executed,
+                s.register_ops,
+                s.kv_ops,
+                s.db_txns,
+                s.db_queries
+            )
+        }
         Err(r) => format!("reject:{r}"),
     }
 }
@@ -99,7 +114,8 @@ fn batch_verdict(variant: usize, threads: usize) -> String {
         threads,
         ..Default::default()
     };
-    let v = verdict(&run_audit_cold(&reader, work, &opts));
+    let reports = coldstore::load_reports(&reader).expect("load reports");
+    let v = verdict(&run_audit(&reader, &reports, work, &opts));
     cache.lock().unwrap().insert((variant, threads), v.clone());
     v
 }
@@ -124,13 +140,25 @@ proptest! {
     ) {
         let (work, dirs) = fixture();
         let reader = TraceStoreReader::open(&dirs[variant]).expect("open store");
+        let reports = coldstore::load_reports(&reader).expect("load reports");
         for threads in [1usize, 4] {
             let opts = AuditOptions {
                 threads,
                 ..Default::default()
             };
             let batch = batch_verdict(variant, threads);
-            let streaming = verdict(&run_audit_streaming(&reader, work, &opts, budget));
+            prop_assert_eq!(
+                &batch, &batch_verdict(variant, 1),
+                "variant {} threads {}: batch drifted from the sequential audit",
+                VARIANTS[variant], threads
+            );
+            prop_assert_eq!(
+                batch.starts_with("accept:"),
+                VARIANTS[variant] == "honest",
+                "variant {} threads {}: {}",
+                VARIANTS[variant], threads, &batch
+            );
+            let streaming = verdict(&run_audit_streaming(&reader, &reports, work, &opts, budget));
             prop_assert_eq!(
                 &streaming, &batch,
                 "variant {} budget {} threads {}",

@@ -12,9 +12,8 @@
 //!   in-RAM audit, at 1 and 4 threads, for accepting *and* rejecting
 //!   runs.
 
-use orochi::harness::{
-    run_audit_cold, run_audit_with, serve, spill_bundle, AppWorkload, AuditOptions, ServeOptions,
-};
+use orochi::core::coldstore;
+use orochi::harness::{run_audit, serve, spill_bundle, AppWorkload, AuditOptions, ServeOptions};
 use orochi::trace::{
     Event, HttpRequest, HttpResponse, Trace, TraceSource, TraceStoreError, TraceStoreReader,
     TraceStoreWriter,
@@ -227,13 +226,14 @@ fn cold_audit_verdict_matches_in_ram_at_one_and_four_threads() {
     spill_bundle(&served.bundle, &dir, 32 * 1024).unwrap();
     let bundle = served.bundle;
     let reader = TraceStoreReader::open(&dir).unwrap();
+    let reports = coldstore::load_reports(&reader).unwrap();
     for threads in [1usize, 4] {
         let opts = AuditOptions {
             threads,
             ..Default::default()
         };
-        let ram = verdict_string(run_audit_with(&bundle, &work, &opts));
-        let cold = verdict_string(run_audit_cold(&reader, &work, &opts));
+        let ram = verdict_string(run_audit(&bundle.trace, &bundle.reports, &work, &opts));
+        let cold = verdict_string(run_audit(&reader, &reports, &work, &opts));
         assert_eq!(ram, cold, "threads {threads}");
         assert!(ram.starts_with("accept:"), "honest run must accept: {ram}");
     }
@@ -260,13 +260,14 @@ fn cold_audit_rejects_identically_to_in_ram() {
     let dir = temp_store_dir("reject");
     spill_bundle(&bundle, &dir, 32 * 1024).unwrap();
     let reader = TraceStoreReader::open(&dir).unwrap();
+    let reports = coldstore::load_reports(&reader).unwrap();
     for threads in [1usize, 4] {
         let opts = AuditOptions {
             threads,
             ..Default::default()
         };
-        let ram = verdict_string(run_audit_with(&bundle, &work, &opts));
-        let cold = verdict_string(run_audit_cold(&reader, &work, &opts));
+        let ram = verdict_string(run_audit(&bundle.trace, &bundle.reports, &work, &opts));
+        let cold = verdict_string(run_audit(&reader, &reports, &work, &opts));
         assert_eq!(ram, cold, "threads {threads}");
         assert!(
             ram.starts_with("reject:"),
